@@ -35,7 +35,6 @@ from .eigenspace import (
     project,
     project_columns,
     reconstruct,
-    refine,
     trailing_energy,
 )
 from .errors import (
@@ -57,8 +56,6 @@ from .geometry import (
     DEFAULT_STRIPE_WIDTH,
     Lane,
     SamplingGrid,
-    StripeMask,
-    rasterize_stripe,
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
@@ -76,7 +73,6 @@ from .pipeline import (
     CandidateScores,
     CliqueResult,
     DetectionConfig,
-    clique_weight,
     detect_image,
     finalize,
     line_pool,
@@ -117,7 +113,6 @@ __all__ = [
     "RankDeficient",
     "SamplingGrid",
     "SchemaError",
-    "StripeMask",
     "SyntheticSpec",
     "TooManyClusters",
     "TooManyNodes",
@@ -125,7 +120,6 @@ __all__ = [
     "VersionError",
     "approximation_error",
     "build_basis",
-    "clique_weight",
     "cluster_lanes",
     "detect_image",
     "f_measure",
@@ -144,9 +138,7 @@ __all__ = [
     "oracle_scores",
     "project",
     "project_columns",
-    "rasterize_stripe",
     "reconstruct",
-    "refine",
     "relation_from_features",
     "render_svg",
     "resample_polyline",

@@ -21,7 +21,7 @@ from .geometry import (
     Lane,
     SamplingGrid,
     batch_iou_one_vs_many,
-    batch_stripe_spans,
+    stack_lanes,
     stripe_spans,
 )
 
@@ -49,21 +49,23 @@ class CandidateSet:
     For clustered sets each lane is exactly the reconstruction of its
     coefficient vector. Straight-anchor sets keep their true straight
     geometry and carry best-effort projected coefficients instead (used as
-    the origin for coefficient-space refinement).
+    the origin for coefficient-space refinement). The lanes are also kept
+    stacked as xs (K, N) and top_index (K,).
     """
 
     lanes: list[Lane]
     coefficients: np.ndarray
     basis_id: str
+    xs: np.ndarray = field(init=False, repr=False)
+    top_index: np.ndarray = field(init=False, repr=False)
     _span_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lanes:
             raise ValueError("candidate set cannot be empty")
-        grid = self.lanes[0].grid
-        for lane in self.lanes[1:]:
-            if lane.grid != grid:
-                raise GridMismatch("candidates must share one grid")
+        self.xs, self.top_index = stack_lanes(self.lanes, self.lanes[0].grid)
+        self.xs.setflags(write=False)
+        self.top_index.setflags(write=False)
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.shape[0] != len(self.lanes):
             raise ValueError("coefficients must be (k, m)")
@@ -82,7 +84,7 @@ class CandidateSet:
         """Cached (k, image_height) stripe span stacks for batch IoU."""
         key = int(width)
         if key not in self._span_cache:
-            self._span_cache[key] = batch_stripe_spans(self.lanes, width)
+            self._span_cache[key] = stripe_spans(self.xs, self.top_index, self.grid, width)
         return self._span_cache[key]
 
 
@@ -245,12 +247,9 @@ def mean_best_iou(
     if not test_lanes:
         raise EmptyInput("empty test set")
     grid = candidates.grid
-    for lane in test_lanes:
-        if lane.grid != grid:
-            raise GridMismatch("test lanes and candidates use different grids")
+    starts, ends = stripe_spans(*stack_lanes(test_lanes, grid), grid, width)
     spans = candidates.stripe_span_arrays(width)
     best = np.empty(len(test_lanes))
-    for i, lane in enumerate(test_lanes):
-        ious = batch_iou_one_vs_many(stripe_spans(lane, width), spans)
-        best[i] = ious.max()
+    for i in range(len(test_lanes)):
+        best[i] = batch_iou_one_vs_many((starts[i], ends[i]), spans).max()
     return float(best.mean())

@@ -110,10 +110,6 @@ def _grid_for(image_width, image_height, samples) -> SamplingGrid:
     return SamplingGrid.uniform(image_width, image_height, samples)
 
 
-def _resampled_records(records, grid):
-    return [(record, record.resampled(grid)) for record in records]
-
-
 def _echo_kv(pairs):
     for key, value in pairs:
         click.echo(f"{key}: {value}")

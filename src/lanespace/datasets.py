@@ -158,7 +158,6 @@ def write_tusimple_jsonl(records, path):
 def load_csv(path, image_size) -> list[DatasetRecord]:
     """Load the minimal CSV layout: image_id, lane_id, x, y per row."""
     grouped: dict[str, dict[str, list]] = {}
-    order: list[str] = []
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -177,15 +176,12 @@ def load_csv(path, image_size) -> list[DatasetRecord]:
                 point = (float(x), float(y))
             except ValueError as exc:
                 raise ParseError(f"bad coordinate: {exc}", line_number) from exc
-            lanes = grouped.setdefault(image_id, {})
-            if image_id not in order:
-                order.append(image_id)
-            lanes.setdefault(lane_id, []).append(point)
+            grouped.setdefault(image_id, {}).setdefault(lane_id, []).append(point)
     records = []
-    for image_id in order:
+    for image_id, lanes in grouped.items():
         polylines = []
-        for lane_id in sorted(grouped[image_id]):
-            pts = grouped[image_id][lane_id]
+        for lane_id in sorted(lanes):
+            pts = lanes[lane_id]
             if len(pts) < 2:
                 logger.warning("%s/%s: fewer than 2 points, skipped", image_id, lane_id)
                 continue

@@ -158,19 +158,6 @@ def reconstruct(basis: EigenBasis, c: CoefficientVector) -> Lane:
     return Lane(basis.u @ c, basis.grid.n_samples, basis.grid)
 
 
-def refine(basis: EigenBasis, c: CoefficientVector, delta: CoefficientVector) -> Lane:
-    """Apply a coefficient-space offset: reconstruct(c + delta).
-
-    Because the basis columns are orthonormal, the induced change of the
-    lane has exactly the norm of delta.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if c.shape != delta.shape:
-        raise DimensionMismatch("offset length does not match coefficient length")
-    return reconstruct(basis, c + delta)
-
-
 def approximation_error(matrix: LaneMatrix, basis: EigenBasis) -> float:
     """Sum of squared per-lane residuals against the rank-m reconstruction.
 

@@ -1,4 +1,4 @@
-"""Sampled-lane representation, stripe rasterization, and stripe IoU.
+"""Sampled-lane representation, lane stacks, stripe spans and stripe IoU.
 
 A lane is a vector of x-coordinates sampled at a fixed ladder of image
 heights (bottom of the image first). Lanes shorter than the ladder are
@@ -125,29 +125,6 @@ class Lane:
         return Lane(self.xs, top_index, self.grid)
 
 
-@dataclass(frozen=True)
-class StripeMask:
-    """Row-wise rasterization of a lane widened to a fixed-width stripe.
-
-    Covered image rows are listed in ``rows`` (ascending); on row ``rows[i]``
-    the stripe occupies integer pixel columns [col_start[i], col_end[i]).
-    """
-
-    width: int
-    rows: np.ndarray
-    col_start: np.ndarray
-    col_end: np.ndarray
-
-    @property
-    def pixel_count(self) -> int:
-        return int(np.sum(self.col_end - self.col_start))
-
-
-def _check_same_grid(a: Lane, b: Lane):
-    if a.grid != b.grid:
-        raise GridMismatch("lanes sampled on different grids")
-
-
 def resample_polyline(points, grid: SamplingGrid) -> Lane:
     """Resample an annotation polyline onto the grid heights.
 
@@ -191,109 +168,77 @@ def resample_polyline(points, grid: SamplingGrid) -> Lane:
     return Lane(out, top_index, grid)
 
 
-def stripe_spans(lane: Lane, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image-row stripe column windows as full-height arrays.
+def stack_lanes(lanes, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Stack lanes sampled on ``grid`` into xs (K, N) and top_index (K,).
 
-    Returns (start, end) int arrays of length image_height; rows outside the
+    Raises GridMismatch when any lane was sampled on another grid.
+    """
+    lanes = list(lanes)
+    if any(lane.grid != grid for lane in lanes):
+        raise GridMismatch("lanes sampled on different grids")
+    xs = np.array([lane.xs for lane in lanes], dtype=np.float64)
+    top_index = np.array([lane.top_index for lane in lanes], dtype=np.int64)
+    return xs.reshape(len(lanes), grid.n_samples), top_index
+
+
+def stripe_spans(
+    xs: np.ndarray, top_index: np.ndarray, grid: SamplingGrid, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image-row stripe column windows of a lane stack.
+
+    xs (K, N) and top_index (K,) hold K lanes sampled on ``grid``. Returns
+    (start, end) int32 arrays of shape (K, image_height); rows outside a
     lane's valid extent (or fully clipped) have start == end == 0. The window
     on a covered row is the ``width`` contiguous pixel columns centered on
-    the lane's interpolated x, clipped to [0, image_width).
+    the lane's interpolated x, clipped to [0, image_width). The x on a row
+    uses np.interp's arithmetic on the two samples around it, so every lane's
+    row is bit-identical to interpolating that lane on its own.
     """
     if width < 1:
         raise ValueError("stripe width must be >= 1")
-    h = lane.grid.image_height
-    start = np.zeros(h, dtype=np.int32)
-    end = np.zeros(h, dtype=np.int32)
-    k = lane.top_index
-    if k == 0:
-        return start, end
-    y_valid = lane.grid.y_coords[:k]
-    x_valid = lane.xs[:k]
-    row_lo = int(np.ceil(y_valid[-1]))
-    row_hi = int(np.floor(y_valid[0]))
-    row_lo = max(row_lo, 0)
-    row_hi = min(row_hi, h - 1)
+    xs = np.asarray(xs, dtype=np.float64)
+    k = xs.shape[0]
+    start = np.zeros((k, grid.image_height), dtype=np.int32)
+    end = np.zeros_like(start)
+    y = grid.y_coords
+    row_lo, row_hi = int(np.ceil(y[-1])), int(np.floor(y[0]))
     if row_lo > row_hi:
         return start, end
-    rows = np.arange(row_lo, row_hi + 1)
-    # np.interp wants ascending sample positions
-    x_at_rows = np.interp(rows, y_valid[::-1], x_valid[::-1])
-    s = np.floor(x_at_rows - width / 2.0 + 0.5).astype(np.int64)
+    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
+    # y[seg] <= row < y[seg - 1]; rows in the band keep seg < N
+    seg = np.searchsorted(-y, -rows, side="left")
+    x = xs[:, seg]
+    between = rows != y[seg]  # seg >= 1 here, because rows <= y[0]
+    i = seg[between]
+    lower = xs[:, i]
+    slope = xs[:, i - 1] - lower
+    slope /= y[i - 1] - y[i]
+    slope *= rows[between] - y[i]
+    slope += lower
+    x[:, between] = slope
+    s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
     e = s + width
-    s = np.clip(s, 0, lane.grid.image_width)
-    e = np.clip(e, 0, lane.grid.image_width)
-    empty = s >= e
-    s[empty] = 0
-    e[empty] = 0
-    start[rows] = s
-    end[rows] = e
+    np.clip(s, 0, grid.image_width, out=s)
+    np.clip(e, 0, grid.image_width, out=e)
+    # a lane covers the rows at or below its last annotated sample: seg < top_index
+    off = (s >= e) | (seg[None, :] >= np.asarray(top_index)[:, None])
+    s[off] = 0
+    e[off] = 0
+    start[:, row_lo : row_hi + 1] = s
+    end[:, row_lo : row_hi + 1] = e
     return start, end
-
-
-def rasterize_stripe(lane: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> StripeMask:
-    """Rasterize a lane as a thin stripe of the given pixel width."""
-    start, end = stripe_spans(lane, width)
-    covered = start < end
-    rows = np.nonzero(covered)[0].astype(np.int32)
-    return StripeMask(width, rows, start[covered], end[covered])
-
-
-def _span_iou(sa, ea, sb, eb) -> float:
-    inter = np.minimum(ea, eb) - np.maximum(sa, sb)
-    inter = int(np.sum(inter[inter > 0]))
-    area_a = int(np.sum(ea - sa))
-    area_b = int(np.sum(eb - sb))
-    union = area_a + area_b - inter
-    if union == 0:
-        return 0.0
-    return inter / union
-
-
-def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
-    """Intersection over union of the two lanes' stripes.
-
-    Computed in closed form from per-row integer column intervals, which is
-    exactly equivalent to materializing the pixel masks and counting.
-    Returns 0.0 when the union is empty.
-    """
-    _check_same_grid(a, b)
-    sa, ea = stripe_spans(a, width)
-    sb, eb = stripe_spans(b, width)
-    return _span_iou(sa, ea, sb, eb)
-
-
-def stripe_iou_pixelcount(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
-    """Audit-mode stripe IoU that materializes boolean pixel masks."""
-    _check_same_grid(a, b)
-    grid = a.grid
-    mask_a = np.zeros((grid.image_height, grid.image_width), dtype=bool)
-    mask_b = np.zeros_like(mask_a)
-    for lane, mask in ((a, mask_a), (b, mask_b)):
-        stripe = rasterize_stripe(lane, width)
-        for row, s, e in zip(stripe.rows, stripe.col_start, stripe.col_end):
-            mask[row, s:e] = True
-    union = np.count_nonzero(mask_a | mask_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(mask_a & mask_b) / union
-
-
-def batch_stripe_spans(lanes, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack stripe_spans for many lanes into (K, image_height) arrays."""
-    starts = []
-    ends = []
-    for lane in lanes:
-        s, e = stripe_spans(lane, width)
-        starts.append(s)
-        ends.append(e)
-    return np.stack(starts), np.stack(ends)
 
 
 def batch_iou_one_vs_many(
     span: tuple[np.ndarray, np.ndarray],
     many: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """IoU of one lane's spans against a (K, H) span stack, vectorized."""
+    """IoU of one lane's spans against a (K, H) span stack, vectorized.
+
+    Computed in closed form from per-row integer column intervals, which is
+    exactly equivalent to materializing the pixel masks and counting. A pair
+    with an empty union scores 0.0.
+    """
     s, e = span
     ms, me = many
     inter = np.minimum(me, e[None, :]) - np.maximum(ms, s[None, :])
@@ -306,3 +251,24 @@ def batch_iou_one_vs_many(
     nz = union > 0
     out[nz] = inter[nz] / union[nz]
     return out
+
+
+def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
+    """Intersection over union of the two lanes' stripes.
+
+    Returns 0.0 when the union is empty.
+    """
+    starts, ends = stripe_spans(*stack_lanes([a, b], a.grid), a.grid, width)
+    return float(batch_iou_one_vs_many((starts[0], ends[0]), (starts[1:], ends[1:]))[0])
+
+
+def stripe_iou_pixelcount(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
+    """Audit-mode stripe IoU that materializes boolean pixel masks."""
+    grid = a.grid
+    starts, ends = stripe_spans(*stack_lanes([a, b], grid), grid, width)
+    cols = np.arange(grid.image_width)
+    mask_a, mask_b = (starts[:, :, None] <= cols) & (cols < ends[:, :, None])
+    union = np.count_nonzero(mask_a | mask_b)
+    if union == 0:
+        return 0.0
+    return np.count_nonzero(mask_a & mask_b) / union

@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
-from .geometry import DEFAULT_STRIPE_WIDTH, Lane, stripe_iou
+from .geometry import (
+    DEFAULT_STRIPE_WIDTH,
+    Lane,
+    batch_iou_one_vs_many,
+    stack_lanes,
+    stripe_spans,
+)
 
 TUSIMPLE_POINT_THRESHOLD = 20.0
 TUSIMPLE_LANE_ACCURACY_FLOOR = 0.85
@@ -67,13 +72,6 @@ class PointAccuracyReport:
     per_image: tuple[ImagePointAccuracy, ...] = ()
 
 
-def _check_grids(predictions, ground_truth):
-    lanes = list(predictions) + list(ground_truth)
-    for a, b in zip(lanes, lanes[1:]):
-        if a.grid != b.grid:
-            raise GridMismatch("predictions and ground truth must share one grid")
-
-
 def _max_bipartite_matching(edges: np.ndarray) -> int:
     """Size of a maximum matching in a boolean (n_pred, n_gt) graph."""
     n_pred, n_gt = edges.shape
@@ -114,13 +112,15 @@ def match_lanes(
     ground_truth = list(ground_truth)
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
-    _check_grids(predictions, ground_truth)
-
+    lanes = predictions + ground_truth
     n_pred, n_gt = len(predictions), len(ground_truth)
     ious = np.zeros((n_pred, n_gt))
-    for i, pred in enumerate(predictions):
-        for j, gt in enumerate(ground_truth):
-            ious[i, j] = stripe_iou(pred, gt, width)
+    if lanes:
+        grid = lanes[0].grid
+        starts, ends = stripe_spans(*stack_lanes(lanes, grid), grid, width)
+        gt_spans = (starts[n_pred:], ends[n_pred:])
+        for i in range(n_pred):
+            ious[i] = batch_iou_one_vs_many((starts[i], ends[i]), gt_spans)
 
     above = [
         (ious[i, j], i, j)
@@ -213,7 +213,9 @@ def tusimple_score(
     total_gt = 0
     total_missed = 0
     for image_id, preds, gts in zip(image_ids, predictions, ground_truth):
-        _check_grids(preds, gts)
+        lanes = preds + gts
+        if lanes:
+            stack_lanes(lanes, lanes[0].grid)  # raises GridMismatch
         n_pred, n_gt = len(preds), len(gts)
         acc = np.zeros((n_pred, n_gt))
         correct = np.zeros((n_pred, n_gt), dtype=np.int64)

@@ -26,7 +26,13 @@ import numpy as np
 from .candidates import CandidateSet
 from .eigenspace import EigenBasis, project
 from .errors import GridMismatch
-from .geometry import DEFAULT_STRIPE_WIDTH, Lane, batch_iou_one_vs_many, stripe_spans
+from .geometry import (
+    DEFAULT_STRIPE_WIDTH,
+    Lane,
+    batch_iou_one_vs_many,
+    stack_lanes,
+    stripe_spans,
+)
 from .pipeline import CandidateScores
 
 # Down-weights the geometric summaries so the activation channel dominates
@@ -73,51 +79,41 @@ def oracle_scores(
     Returns (scores, features) where features is the (K, C) matrix consumed
     by the relation stage after NMS.
     """
-    gt_lanes = list(gt_lanes)
     grid = candidates.grid
     if basis.grid != grid:
         raise GridMismatch("basis and candidates use different grids")
-    for lane in gt_lanes:
-        if lane.grid != grid:
-            raise GridMismatch("ground truth and candidates use different grids")
+    gt_lanes = list(gt_lanes)
+    gt_xs, gt_top = stack_lanes(gt_lanes, grid)
     heights = np.asarray(height_grid, dtype=np.float64)
     k = candidates.k
     m = basis.m
 
     spans = candidates.stripe_span_arrays(config.stripe_width)
+    gt_starts, gt_ends = stripe_spans(gt_xs, gt_top, grid, config.stripe_width)
     iou = np.zeros((k, len(gt_lanes)))
-    for j, gt in enumerate(gt_lanes):
-        iou[:, j] = batch_iou_one_vs_many(
-            stripe_spans(gt, config.stripe_width), spans
-        )
+    for j in range(len(gt_lanes)):
+        iou[:, j] = batch_iou_one_vs_many((gt_starts[j], gt_ends[j]), spans)
 
+    offsets = np.zeros((k, m))
+    height_dist = np.zeros((k, heights.size))
+    champion = np.zeros(k, dtype=bool)
     if gt_lanes:
         best_gt = np.argmax(iou, axis=1)  # ties resolve to the lowest index
         best_iou = iou[np.arange(k), best_gt]
         # the single best candidate of each lane carries the relation evidence
-        champion = np.zeros(k, dtype=bool)
-        for j in range(len(gt_lanes)):
-            winner = int(np.argmax(iou[:, j]))
-            if iou[winner, j] > config.iou_floor:
-                champion[winner] = True
+        winners = np.argmax(iou, axis=0)
+        won = iou[winners, np.arange(len(gt_lanes))] > config.iou_floor
+        champion[winners[won]] = True
+        gt_coeffs = np.array([project(basis, gt) for gt in gt_lanes])
+        matched = best_iou > config.iou_floor
+        offsets[matched] = gt_coeffs[best_gt[matched]] - candidates.coefficients[matched]
+        # one-hot at the bin nearest each lane's annotated ending height
+        y_end = grid.y_coords[np.maximum(gt_top - 1, 0)]
+        gt_bin = np.argmin(np.abs(heights[None, :] - y_end[:, None]), axis=1)
+        height_dist[np.arange(k), gt_bin[best_gt]] = 1.0
     else:
-        best_gt = np.zeros(k, dtype=np.int64)
         best_iou = np.zeros(k)
-        champion = np.zeros(k, dtype=bool)
-
-    offsets = np.zeros((k, m))
-    height_dist = np.zeros((k, heights.size))
-    height_dist[:, 0] = 1.0
-    gt_coeffs = [project(basis, gt) for gt in gt_lanes]
-    for i in range(k):
-        if not gt_lanes:
-            continue
-        gt = gt_lanes[int(best_gt[i])]
-        if best_iou[i] > config.iou_floor:
-            offsets[i] = gt_coeffs[int(best_gt[i])] - candidates.coefficients[i]
-        y_end = gt.grid.y_coords[max(gt.top_index - 1, 0)]
-        height_dist[i] = 0.0
-        height_dist[i, int(np.argmin(np.abs(heights - y_end)))] = 1.0
+        height_dist[:, 0] = 1.0
 
     probabilities = best_iou.copy()
     if config.noise_sigma > 0:

@@ -290,17 +290,6 @@ def mwcs(
     return CliqueResult((fallback,), 0.0)
 
 
-def clique_weight(relation: RelationMatrix, members) -> float:
-    """Recompute the total pairwise edge weight of a member set."""
-    w = _edge_weights(relation)
-    members = list(members)
-    total = 0.0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            total += w[members[a], members[b]]
-    return float(total)
-
-
 def finalize(
     basis: EigenBasis,
     candidates: CandidateSet,

@@ -9,6 +9,7 @@ is what the golden-file tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
 
 from .datasets import DatasetRecord
@@ -50,10 +51,10 @@ def render_svg(record: DatasetRecord, layers: Sequence[LaneLayer], path) -> None
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0.5" y="0.5" width="{width - 1}" height="{height - 1}" '
         'fill="#101418" stroke="#3a4750" stroke-width="1"/>',
-        f'<title>{record.image_id}</title>',
+        f'<title>{escape(record.image_id)}</title>',
     ]
     for layer in layers:
-        parts.append(f'<g id="{layer.name}">')
+        parts.append(f'<g id="{escape(layer.name)}">')
         for lane in layer.lanes:
             if lane.top_index >= 2:
                 parts.append(
@@ -70,7 +71,7 @@ def render_svg(record: DatasetRecord, layers: Sequence[LaneLayer], path) -> None
         )
         parts.append(
             f'<text x="{x0 + 32}" y="{y + 4}" font-family="monospace" '
-            f'font-size="12" fill="#d8dee9">{layer.name} ({len(layer.lanes)})</text>'
+            f'font-size="12" fill="#d8dee9">{escape(layer.name)} ({len(layer.lanes)})</text>'
         )
     parts.append("</svg>")
     try:

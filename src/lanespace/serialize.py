@@ -128,8 +128,8 @@ def save_candidates(candidates: CandidateSet, path):
             "basis_id": candidates.basis_id,
             "k": candidates.k,
             "coefficients": _encode_array(candidates.coefficients),
-            "lanes": _encode_array(np.stack([lane.xs for lane in candidates.lanes])),
-            "top_indices": [lane.top_index for lane in candidates.lanes],
+            "lanes": _encode_array(candidates.xs),
+            "top_indices": candidates.top_index.tolist(),
         },
         path,
     )
@@ -247,26 +247,6 @@ def load_detections(path, grid: SamplingGrid):
             lanes.append(Lane(xs, int(_require(lane_obj, "top_index")), grid))
         out.append((str(_require(obj, "image_id")), lanes, obj.get("compatibility", 0.0)))
     return out
-
-
-def save_relation_matrix(relation: np.ndarray, path):
-    _write_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "relation_matrix",
-            "relation": _encode_array(relation),
-        },
-        path,
-    )
-
-
-def load_relation_matrix(path) -> np.ndarray:
-    obj = _read_json(path)
-    _check_header(obj, "relation_matrix")
-    relation = _decode_array(_require(obj, "relation"), expected_ndim=2)
-    if relation.shape[0] != relation.shape[1]:
-        raise SchemaError("relation matrix must be square")
-    return relation
 
 
 def save_match_report(report: MatchReport, path):

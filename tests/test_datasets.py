@@ -167,6 +167,31 @@ class TestCsvLoader:
         assert len(loaded) == 1
         assert np.array_equal(loaded[0].lanes[0], record.lanes[0])
 
+    def test_interleaved_images_keep_first_appearance_order(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        write_lines(
+            path,
+            [
+                "image_id,lane_id,x,y",
+                "b,1,10,400",
+                "a,0,20,400",
+                "b,0,30,400",
+                "a,0,21,300",
+                "b,1,11,300",
+                "c,0,40,400",
+                "b,0,31,300",
+                "c,0,41,300",
+            ],
+        )
+        records = load_csv(path, (640, 480))
+        assert [r.image_id for r in records] == ["b", "a", "c"]
+        b, a, c = records
+        assert np.array_equal(b.lanes[0], [[30, 400], [31, 300]])
+        assert np.array_equal(b.lanes[1], [[10, 400], [11, 300]])
+        assert np.array_equal(a.lanes[0], [[20, 400], [21, 300]])
+        assert np.array_equal(c.lanes[0], [[40, 400], [41, 300]])
+        assert [len(r.lanes) for r in records] == [2, 1, 1]
+
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_lines(path, ["image_id,lane_id,x,y", "img0,0,12.5"])

@@ -15,7 +15,6 @@ from lanespace import (
     build_basis,
     project,
     reconstruct,
-    refine,
     stripe_iou,
     trailing_energy,
 )
@@ -214,7 +213,7 @@ class TestRefineAndIsometry:
     def test_zero_delta_is_identity(self, basis):
         c = np.linspace(-50.0, 80.0, basis.m)
         assert np.allclose(
-            refine(basis, c, np.zeros(basis.m)).xs, reconstruct(basis, c).xs
+            reconstruct(basis, c + np.zeros(basis.m)).xs, reconstruct(basis, c).xs
         )
 
     @settings(max_examples=50, deadline=None)
@@ -223,7 +222,7 @@ class TestRefineAndIsometry:
         floats = st.floats(min_value=-300.0, max_value=300.0)
         c = np.array(data.draw(st.lists(floats, min_size=basis.m, max_size=basis.m)))
         d = np.array(data.draw(st.lists(floats, min_size=basis.m, max_size=basis.m)))
-        moved = refine(basis, c, d)
+        moved = reconstruct(basis, c + d)
         base = reconstruct(basis, c)
         assert np.linalg.norm(moved.xs - base.xs) == pytest.approx(
             np.linalg.norm(d), abs=1e-9
@@ -244,15 +243,16 @@ class TestRefineAndIsometry:
         cand_idx = 3
         c = candidates.coefficients[cand_idx]
         delta = project(basis, target) - c
-        refined = refine(basis, c, delta)
+        refined = reconstruct(basis, c + delta)
         before = stripe_iou(candidates.lanes[cand_idx], target, 30)
         after = stripe_iou(refined, target, 30)
         assert after >= before
         assert after > 0.8
 
     def test_mismatched_delta_length(self, basis):
+        # an offset carrying more coefficients than the basis rank
         with pytest.raises(DimensionMismatch):
-            refine(basis, np.zeros(basis.m), np.zeros(basis.m + 2))
+            reconstruct(basis, np.zeros(basis.m + 2) + np.ones(basis.m + 2))
 
 
 class TestEigenBasisValidation:

@@ -8,12 +8,11 @@ from lanespace import (
     InvalidAnnotation,
     Lane,
     SamplingGrid,
-    rasterize_stripe,
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
 )
-from lanespace.geometry import stripe_spans
+from lanespace.geometry import stack_lanes, stripe_spans
 
 
 def interp_oracle(points, y):
@@ -34,6 +33,45 @@ def interp_oracle(points, y):
             w = (y - ys[k]) / (ys[k + 1] - ys[k])
             return xs[k] * (1 - w) + xs[k + 1] * w
     raise AssertionError("unreachable")
+
+
+def loop_stripe_spans(lane, width):
+    """Reference: one lane's spans from np.interp over its covered rows."""
+    h = lane.grid.image_height
+    start = np.zeros(h, dtype=np.int32)
+    end = np.zeros(h, dtype=np.int32)
+    k = lane.top_index
+    if k == 0:
+        return start, end
+    y_valid = lane.grid.y_coords[:k]
+    x_valid = lane.xs[:k]
+    row_lo = max(int(np.ceil(y_valid[-1])), 0)
+    row_hi = min(int(np.floor(y_valid[0])), h - 1)
+    if row_lo > row_hi:
+        return start, end
+    rows = np.arange(row_lo, row_hi + 1)
+    x_at_rows = np.interp(rows, y_valid[::-1], x_valid[::-1])
+    s = np.floor(x_at_rows - width / 2.0 + 0.5).astype(np.int64)
+    e = s + width
+    s = np.clip(s, 0, lane.grid.image_width)
+    e = np.clip(e, 0, lane.grid.image_width)
+    empty = s >= e
+    s[empty] = 0
+    e[empty] = 0
+    start[rows] = s
+    end[rows] = e
+    return start, end
+
+
+def spans_of(lane, width):
+    """Row of a one-lane stack: (start, end) of length image_height."""
+    starts, ends = stripe_spans(*stack_lanes([lane], lane.grid), lane.grid, width)
+    return starts[0], ends[0]
+
+
+def covered_rows(lane, width):
+    start, end = spans_of(lane, width)
+    return np.nonzero(start < end)[0]
 
 
 class TestSamplingGrid:
@@ -111,31 +149,32 @@ class TestResamplePolyline:
 
 class TestRasterizeStripe:
     def test_vertical_lane_centered_window(self, make_vertical):
-        mask = rasterize_stripe(make_vertical(50.0), width=30)
-        assert np.all(mask.col_start == 35)
-        assert np.all(mask.col_end == 65)
+        start, end = spans_of(make_vertical(50.0), 30)
+        rows = start < end
+        assert np.all(start[rows] == 35)
+        assert np.all(end[rows] == 65)
 
     def test_border_clipping(self, make_vertical):
-        mask = rasterize_stripe(make_vertical(5.0), width=30)
-        assert np.all(mask.col_start == 0)
-        assert np.all(mask.col_end == 20)
+        start, end = spans_of(make_vertical(5.0), 30)
+        rows = start < end
+        assert np.all(start[rows] == 0)
+        assert np.all(end[rows] == 20)
 
     def test_rows_limited_to_valid_extent(self, grid, make_vertical):
         lane = make_vertical(200.0, top_index=10)
-        mask = rasterize_stripe(lane, width=30)
+        rows = covered_rows(lane, 30)
         y_top_valid = grid.y_coords[9]
-        assert mask.rows.min() == int(np.ceil(y_top_valid))
-        assert mask.rows.max() == int(np.floor(grid.y_coords[0]))
+        assert rows.min() == int(np.ceil(y_top_valid))
+        assert rows.max() == int(np.floor(grid.y_coords[0]))
 
     def test_empty_lane_yields_empty_mask(self, make_vertical):
-        mask = rasterize_stripe(make_vertical(200.0, top_index=0), width=30)
-        assert mask.rows.size == 0
-        assert mask.pixel_count == 0
+        start, end = spans_of(make_vertical(200.0, top_index=0), 30)
+        assert not np.any(start) and not np.any(end)
 
     def test_fully_clipped_lane_yields_empty_mask(self, grid):
         lane = Lane(np.full(grid.n_samples, -500.0), grid.n_samples, grid)
-        mask = rasterize_stripe(lane, width=30)
-        assert mask.pixel_count == 0
+        start, end = spans_of(lane, 30)
+        assert int(np.sum(end - start)) == 0
 
     def test_curved_lane_matches_pixel_distance_oracle(self):
         grid = SamplingGrid.uniform(120, 80, 9, y_bottom=75.0, y_top=12.0)
@@ -143,11 +182,11 @@ class TestRasterizeStripe:
         xs = 60.0 + 25.0 * np.sin(ys / 17.0)
         lane = resample_polyline(np.column_stack([xs, ys]), grid)
         width = 14
-        mask = rasterize_stripe(lane, width)
+        start, end = spans_of(lane, width)
         covered = {
-            (int(r), c)
-            for r, s, e in zip(mask.rows, mask.col_start, mask.col_end)
-            for c in range(s, e)
+            (row, c)
+            for row in range(grid.image_height)
+            for c in range(start[row], end[row])
         }
         # oracle: a pixel is covered when its column falls in the width-window
         # around the lane's interpolated x on that row (row-window convention)
@@ -230,9 +269,38 @@ class TestStripeIou:
 
 
 class TestStripeSpans:
-    def test_spans_match_mask(self, make_vertical):
+    def test_spans_match_mask(self, grid, make_vertical):
         lane = make_vertical(77.0, top_index=33)
-        start, end = stripe_spans(lane, 30)
-        mask = rasterize_stripe(lane, 30)
-        assert np.array_equal(np.nonzero(start < end)[0], mask.rows)
-        assert np.array_equal(start[mask.rows], mask.col_start)
+        start, end = spans_of(lane, 30)
+        cols = np.arange(grid.image_width)
+        mask = (start[:, None] <= cols) & (cols < end[:, None])
+        expected = np.zeros_like(mask)
+        rows = slice(int(np.ceil(grid.y_coords[32])), int(np.floor(grid.y_coords[0])) + 1)
+        expected[rows, 62:92] = True
+        assert np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("width", [1, 11, 30, 31])
+    def test_stack_matches_per_lane_loop(self, width):
+        rng = np.random.default_rng(width)
+        grids = [
+            SamplingGrid.uniform(1280, 720, 50),
+            SamplingGrid.uniform(1280, 720, 1, y_bottom=700.0),
+            SamplingGrid.uniform(200, 100, 2, y_bottom=99.0, y_top=20.0),
+            SamplingGrid.uniform(1640, 590, 37, y_bottom=589.3, y_top=200.7),
+        ]
+        for grid in grids:
+            n = grid.n_samples
+            xs = rng.uniform(-100.0, grid.image_width + 100.0, size=(80, 1))
+            xs = xs + np.cumsum(rng.normal(0.0, 20.0, size=(80, n)), axis=1)
+            xs[:10] = np.round(xs[:10])
+            # straight lanes that sit on the floor() edge at many rows
+            rise = grid.y_coords[0] - grid.y_coords
+            xs[10:20] = np.round(xs[10:20, :1]) + 0.5 * (width % 2 == 0)
+            xs[10:20] += rng.integers(-3, 4, size=(10, 1)) * rise
+            top = rng.integers(0, n + 1, size=80)
+            top[:2] = [0, 1]
+            starts, ends = stripe_spans(xs, top, grid, width)
+            for k in range(80):
+                start, end = loop_stripe_spans(Lane(xs[k], int(top[k]), grid), width)
+                assert np.array_equal(starts[k], start)
+                assert np.array_equal(ends[k], end)

@@ -97,6 +97,20 @@ class TestMatchLanes:
         optimal = best_injective_match_count(iou, 0.3)
         assert result.greedy_equals_optimal == (len(expected_pairs) == optimal)
 
+    def test_ious_equal_pairwise_stripe_iou(self, grid, train_lanes):
+        rng = np.random.default_rng(12)
+        gts = train_lanes[:4]
+        preds = [
+            Lane(gts[j % 4].xs + rng.uniform(-20, 20), int(rng.integers(5, 51)), grid)
+            for j in range(6)
+        ] + train_lanes[4:6]
+        iou = np.array([[stripe_iou(p, g, 30) for g in gts] for p in preds])
+        result = match_lanes(preds, gts, 0.3, 30)
+        assert result.pairs
+        assert all(value == iou[i, j] for i, j, value in result.pairs)
+        assert result.pred_best_iou == tuple(iou.max(axis=1))
+        assert result.gt_best_iou == tuple(iou.max(axis=0))
+
     def test_count_identities(self, grid, make_vertical):
         rng = np.random.default_rng(9)
         for _ in range(5):

@@ -7,8 +7,25 @@ from lanespace import (
     oracle_scores,
     project,
     relation_from_features,
+    stripe_iou,
     uniform_height_grid,
 )
+
+
+def loop_oracle(candidates, gt_lanes, basis, heights, iou_floor):
+    """Reference: best IoU, offsets and height bins, one candidate at a time."""
+    k = candidates.k
+    iou = np.array([[stripe_iou(c, g, 30) for g in gt_lanes] for c in candidates.lanes])
+    offsets = np.zeros((k, basis.m))
+    height_dist = np.zeros((k, heights.size))
+    for i in range(k):
+        j = int(np.argmax(iou[i]))
+        gt = gt_lanes[j]
+        if iou[i, j] > iou_floor:
+            offsets[i] = project(basis, gt) - candidates.coefficients[i]
+        y_end = gt.grid.y_coords[max(gt.top_index - 1, 0)]
+        height_dist[i, int(np.argmin(np.abs(heights - y_end)))] = 1.0
+    return iou.max(axis=1), offsets, height_dist
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +102,14 @@ class TestOracleScores:
                 for j in range(i + 1, n):
                     assert relation[i, j] > 0.5
             assert np.allclose(relation[n:, :], 0.0)
+
+    def test_matches_per_candidate_loop(self, basis, candidates, heights, train_lanes):
+        gt = train_lanes[:3] + [train_lanes[5].with_top_index(20)]
+        scores, _ = oracle_scores(candidates, gt, basis, heights)
+        best, offsets, height_dist = loop_oracle(candidates, gt, basis, heights, 0.25)
+        assert np.array_equal(scores.probabilities, best)
+        assert np.array_equal(scores.offsets, offsets)
+        assert np.array_equal(scores.height_distributions, height_dist)
 
     def test_one_champion_per_ground_truth_lane(self, basis, candidates, heights, train_lanes):
         gt = train_lanes[:4]

@@ -13,7 +13,6 @@ from lanespace import (
     EmptyInput,
     Lane,
     TooManyNodes,
-    clique_weight,
     finalize,
     line_pool,
     mwcs,
@@ -48,6 +47,12 @@ def brute_force_mwcs(weights, probabilities, kappa):
     if best is None:
         return (int(np.argmax(probabilities)),), 0.0
     return best[1], best[2]
+
+
+def clique_weight(relation, members):
+    """Total symmetrized edge weight over all pairs of a member set."""
+    w = 0.5 * (relation + relation.T)
+    return float(sum(w[a, b] for a, b in itertools.combinations(members, 2)))
 
 
 def greedy_nms_oracle(iou_matrix, probabilities, t, threshold):

@@ -62,6 +62,15 @@ class TestRenderSvg:
         render_svg(record, layers, out)
         assert out.read_bytes() == GOLDEN.read_bytes()
 
+    def test_markup_in_names_is_escaped(self, tmp_path):
+        record = DatasetRecord('a<b&"c"', (100, 80), [])
+        path = tmp_path / "escaped.svg"
+        render_svg(record, [LaneLayer('x"><g id="y', [], "#fff")], path)
+        text = path.read_text()
+        assert "<title>a&lt;b&amp;&quot;c&quot;</title>" in text
+        assert '<g id="x&quot;&gt;&lt;g id=&quot;y">' in text
+        assert "x&quot;&gt;&lt;g id=&quot;y (0)</text>" in text
+
     def test_unwritable_path_raises_io_error(self):
         record, layers = fixture_scene()
         with pytest.raises(IoError):

@@ -15,12 +15,10 @@ from lanespace.serialize import (
     load_candidates,
     load_detections,
     load_image_scores,
-    load_relation_matrix,
     save_basis,
     save_candidates,
     save_detections,
     save_image_scores,
-    save_relation_matrix,
 )
 
 
@@ -142,21 +140,3 @@ class TestDetectionsRoundTrip:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(SchemaError):
             load_detections(path, grid)
-
-
-class TestRelationRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        relation = np.clip(rng.normal(size=(6, 6)), -1, 1)
-        path = tmp_path / "relation.json"
-        save_relation_matrix(relation, path)
-        assert np.array_equal(load_relation_matrix(path), relation)
-
-    def test_non_square_rejected(self, tmp_path):
-        path = tmp_path / "relation.json"
-        save_relation_matrix(np.zeros((2, 2)), path)
-        obj = json.loads(path.read_text())
-        obj["relation"]["dims"] = [1, 4]
-        path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaError):
-            load_relation_matrix(path)
