@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, GridMismatch, TooManyClusters
+from .errors import EmptyInput, GridMismatch, TooManyClusters, ValidationError
 from .eigenspace import EigenBasis, LaneMatrix, project_columns, reconstruct
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
@@ -35,11 +35,11 @@ class ClusteringConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValidationError("k must be >= 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValidationError("max_iters must be >= 1")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ValidationError("tolerance must be positive")
 
 
 @dataclass(eq=False)
@@ -62,13 +62,13 @@ class CandidateSet:
 
     def __post_init__(self):
         if not self.lanes:
-            raise ValueError("candidate set cannot be empty")
+            raise ValidationError("candidate set cannot be empty")
         self.xs, self.top_index = stack_lanes(self.lanes, self.lanes[0].grid)
         self.xs.setflags(write=False)
         self.top_index.setflags(write=False)
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.shape[0] != len(self.lanes):
-            raise ValueError("coefficients must be (k, m)")
+            raise ValidationError("coefficients must be (k, m)")
         coeffs.setflags(write=False)
         self.coefficients = coeffs
 
@@ -205,7 +205,7 @@ def straight_anchor_grid(basis: EigenBasis, n: int, max_angle_deg: float = 75.0)
     detectors; no canonical layout exists, so the grid is kept simple.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     grid = basis.grid
     n_angles = max(1, int(round(np.sqrt(n))))
     n_pos = -(-n // n_angles)  # ceil

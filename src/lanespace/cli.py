@@ -10,9 +10,10 @@ of re-runnable commands:
     lanespace detect -c candidates.json -b basis.json -s scores.jsonl -o detections.jsonl
     lanespace eval -p detections.jsonl -d test.jsonl -b basis.json
 
-Flag defaults can be overridden by a versioned JSON config file (--config);
-explicit flags always win over the config. LANESPACE_OUT_DIR, when set,
-redirects relative output paths into that directory.
+Flag defaults can be overridden by a versioned JSON config file (--config),
+which becomes click's default map: explicit flags win over the config, and
+config values get the same type checks as flags. LANESPACE_OUT_DIR, when
+set, redirects relative output paths into that directory.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import __version__
 from .candidates import ClusteringConfig, cluster_lanes, mean_best_iou, straight_anchor_grid
 from .datasets import load_dataset, write_csv, write_tusimple_jsonl
 from .eigenspace import LaneMatrix, build_basis
-from .errors import LanespaceError, SchemaError, ValidationError, VersionError
+from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError
 from .geometry import SamplingGrid, stripe_iou, stripe_iou_pixelcount
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
@@ -51,25 +52,34 @@ from .synth import SyntheticSpec, generate_synthetic
 
 CONFIG_SCHEMA_VERSION = 1
 
-DEFAULTS = {
-    "samples": 50,
-    "rank": 6,
-    "k": 1000,
-    "t": 10,
-    "iou_thresh": 0.5,
-    "kappa": 0.3,
-    "stripe_width": 30,
-    "seed": 0,
-    "format": "tusimple",
-    "image_width": 1280,
-    "image_height": 720,
-    "heights": 25,
+
+def _flag(*decls, **attrs):
+    return click.option(*decls, show_default=True, **attrs)
+
+
+# Flags shared by several commands, keyed by their config-file name.
+FLAGS = {
+    "samples": _flag("--samples", type=int, default=50, help="grid rows per lane vector"),
+    "rank": _flag("--rank", type=int, default=6),
+    "k": _flag("--k", type=int, default=1000),
+    "t": _flag("--t", type=int, default=10),
+    "iou_thresh": _flag("--iou-thresh", type=float, default=0.5),
+    "kappa": _flag("--kappa", type=float, default=0.3),
+    "stripe_width": _flag("--stripe-width", type=int, default=30),
+    "seed": _flag("--seed", type=click.IntRange(min=0), default=0),
+    "format": _flag(
+        "--format", "fmt", type=click.Choice(["tusimple", "csv", "culane"]), default="tusimple"
+    ),
+    "image_width": _flag("--image-width", type=int, default=1280),
+    "image_height": _flag("--image-height", type=int, default=720),
+    "heights": _flag("--heights", type=int, default=25, help="number of height bins"),
 }
 
 
-def _load_config(path) -> dict:
+def _apply_config(ctx, param, path):
+    """Make the config file's values the command's flag defaults."""
     if path is None:
-        return {}
+        return
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -82,19 +92,18 @@ def _load_config(path) -> dict:
     if version != CONFIG_SCHEMA_VERSION:
         raise VersionError(f"config schema_version {version} unsupported")
     defaults = obj.get("defaults", {})
-    unknown = set(defaults) - set(DEFAULTS)
+    if not isinstance(defaults, dict) or None in defaults.values():
+        raise SchemaError("config defaults must be a JSON object without nulls")
+    unknown = set(defaults) - set(FLAGS)
     if unknown:
         raise SchemaError(f"config has unknown keys: {sorted(unknown)}")
-    return defaults
+    ctx.default_map = {("fmt" if key == "format" else key): v for key, v in defaults.items()}
 
 
-def _resolve(flag_value, name, config):
-    """Explicit flag > config file > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if name in config:
-        return config[name]
-    return DEFAULTS[name]
+config_option = click.option(
+    "--config", type=click.Path(), expose_value=False, is_eager=True, callback=_apply_config,
+    help="versioned JSON config file of flag defaults",
+)
 
 
 def _out_path(path) -> Path:
@@ -102,12 +111,40 @@ def _out_path(path) -> Path:
     out_dir = os.environ.get("LANESPACE_OUT_DIR")
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {path.parent}: {exc}") from exc
     return path
 
 
-def _grid_for(image_width, image_height, samples) -> SamplingGrid:
-    return SamplingGrid.uniform(image_width, image_height, samples)
+def _records(data, fmt, grid: SamplingGrid):
+    return load_dataset(data, fmt, (grid.image_width, grid.image_height))
+
+
+def _lanes(records, grid: SamplingGrid):
+    lanes = [lane for record in records for lane in record.resampled(grid)]
+    if not lanes:
+        raise SchemaError("dataset contains no usable lanes")
+    return lanes
+
+
+def _record(records, image_id):
+    """The record named image_id, or the first record when image_id is None."""
+    for record in records:
+        if image_id in (None, record.image_id):
+            return record
+    if image_id is None:
+        raise SchemaError("dataset has no images")
+    raise SchemaError(f"image '{image_id}' not in dataset")
+
+
+def _basis_and_candidates(basis_path, candidates_path):
+    basis = load_basis(basis_path)
+    candidates = load_candidates(candidates_path)
+    if candidates.basis_id != basis.content_id:
+        raise SchemaError("candidates were built from a different basis")
+    return basis, candidates
 
 
 def _echo_kv(pairs):
@@ -133,33 +170,18 @@ def main():
     """Low-rank lane descriptors: basis building, candidates, detection, eval."""
 
 
-config_option = click.option(
-    "--config", type=click.Path(), default=None, help="versioned JSON config file"
-)
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["tusimple", "csv", "culane"]), default=None
-)
-
-
 @main.command()
 @click.option("--count", type=int, default=200, show_default=True, help="number of images")
-@click.option("--seed", type=int, default=None)
+@FLAGS["seed"]
 @click.option("--weights", default="1,1,1", show_default=True, help="straight,arc,s_curve mix")
 @click.option("--curvature", default=None, help="min,max curvature in 1/pixels")
-@click.option("--image-width", type=int, default=None)
-@click.option("--image-height", type=int, default=None)
-@click.option("--samples", type=int, default=None, help="grid rows per lane vector")
+@FLAGS["image_width"]
+@FLAGS["image_height"]
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-@format_option
-def synth(count, seed, weights, curvature, image_width, image_height, samples, out, config, fmt):
+@FLAGS["format"]
+def synth(count, seed, weights, curvature, image_width, image_height, out, fmt):
     """Generate a synthetic annotation file."""
-    cfg = _load_config(config)
-    seed = _resolve(seed, "seed", cfg)
-    fmt = _resolve(fmt, "format", cfg)
-    image_width = _resolve(image_width, "image_width", cfg)
-    image_height = _resolve(image_height, "image_height", cfg)
-    samples = _resolve(samples, "samples", cfg)
     try:
         mix = tuple(float(w) for w in weights.split(","))
     except ValueError as exc:
@@ -172,12 +194,7 @@ def synth(count, seed, weights, curvature, image_width, image_height, samples, o
             raise SchemaError(f"bad --curvature: {curvature}") from exc
         kwargs["curvature_range"] = (lo, hi)
     spec = SyntheticSpec(
-        count=count,
-        seed=seed,
-        image_size=(image_width, image_height),
-        n_samples=samples,
-        weights=mix,
-        **kwargs,
+        count=count, seed=seed, image_size=(image_width, image_height), weights=mix, **kwargs
     )
     records = generate_synthetic(spec)
     path = _out_path(out)
@@ -193,26 +210,17 @@ def synth(count, seed, weights, curvature, image_width, image_height, samples, o
 
 @main.command("build-basis")
 @click.option("-d", "--data", required=True, type=click.Path())
-@click.option("--samples", type=int, default=None)
-@click.option("--rank", type=int, default=None)
-@click.option("--image-width", type=int, default=None)
-@click.option("--image-height", type=int, default=None)
+@FLAGS["samples"]
+@FLAGS["rank"]
+@FLAGS["image_width"]
+@FLAGS["image_height"]
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-@format_option
-def build_basis_cmd(data, samples, rank, image_width, image_height, out, config, fmt):
+@FLAGS["format"]
+def build_basis_cmd(data, samples, rank, image_width, image_height, out, fmt):
     """Build the lane basis from a training annotation file."""
-    cfg = _load_config(config)
-    samples = _resolve(samples, "samples", cfg)
-    rank = _resolve(rank, "rank", cfg)
-    fmt = _resolve(fmt, "format", cfg)
-    image_width = _resolve(image_width, "image_width", cfg)
-    image_height = _resolve(image_height, "image_height", cfg)
-    records = load_dataset(data, fmt, (image_width, image_height))
-    grid = _grid_for(image_width, image_height, samples)
-    lanes = [lane for record in records for lane in record.resampled(grid)]
-    if not lanes:
-        raise SchemaError("dataset contains no usable lanes")
+    grid = SamplingGrid.uniform(image_width, image_height, samples)
+    lanes = _lanes(_records(data, fmt, grid), grid)
     basis = build_basis(LaneMatrix.from_lanes(lanes), rank)
     path = _out_path(out)
     save_basis(basis, path)
@@ -233,23 +241,18 @@ def build_basis_cmd(data, samples, rank, image_width, image_height, out, config,
 @click.option("--ranks", default=None, help="comma list of ranks to report (default 1..m)")
 @click.option("-o", "--out", type=click.Path(), default=None, help="JSON report path")
 @config_option
-@format_option
-def approx(data, basis_path, ranks, out, config, fmt):
+@FLAGS["format"]
+def approx(data, basis_path, ranks, out, fmt):
     """Report reconstruction error of the dataset for a range of ranks."""
-    cfg = _load_config(config)
-    fmt = _resolve(fmt, "format", cfg)
     basis = load_basis(basis_path)
-    records = load_dataset(
-        data, fmt, (basis.grid.image_width, basis.grid.image_height)
-    )
-    lanes = [lane for record in records for lane in record.resampled(basis.grid)]
-    if not lanes:
-        raise SchemaError("dataset contains no usable lanes")
-    matrix = LaneMatrix.from_lanes(lanes)
+    matrix = LaneMatrix.from_lanes(_lanes(_records(data, fmt, basis.grid), basis.grid))
     if ranks is None:
         rank_list = list(range(1, basis.m + 1))
     else:
-        rank_list = [int(r) for r in ranks.split(",")]
+        try:
+            rank_list = [int(r) for r in ranks.split(",")]
+        except ValueError as exc:
+            raise SchemaError(f"bad --ranks: {ranks}") from exc
         if any(r < 1 or r > basis.m for r in rank_list):
             raise SchemaError(f"ranks must lie in [1, {basis.m}]")
     rows = []
@@ -270,40 +273,31 @@ def approx(data, basis_path, ranks, out, config, fmt):
         click.echo(f"rank {r}: residual {total:.4f}  mean-rms {per_lane_rms:.3f} px")
     if out is not None:
         path = _out_path(out)
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "kind": "approx_report",
-                    "lanes": len(lanes),
-                    "rows": rows,
-                }
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        report = {
+            "schema_version": 1,
+            "kind": "approx_report",
+            "lanes": matrix.n_lanes,
+            "rows": rows,
+        }
+        try:
+            path.write_text(json.dumps(report) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
         click.echo(f"out: {path}")
 
 
 @main.command()
 @click.option("-d", "--data", required=True, type=click.Path())
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
-@click.option("--k", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@FLAGS["k"]
+@FLAGS["seed"]
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-@format_option
-def cluster(data, basis_path, k, seed, out, config, fmt):
+@FLAGS["format"]
+def cluster(data, basis_path, k, seed, out, fmt):
     """Cluster training lanes in coefficient space into k candidates."""
-    cfg = _load_config(config)
-    k = _resolve(k, "k", cfg)
-    seed = _resolve(seed, "seed", cfg)
-    fmt = _resolve(fmt, "format", cfg)
     basis = load_basis(basis_path)
-    records = load_dataset(
-        data, fmt, (basis.grid.image_width, basis.grid.image_height)
-    )
-    lanes = [lane for record in records for lane in record.resampled(basis.grid)]
+    lanes = _lanes(_records(data, fmt, basis.grid), basis.grid)
     candidates = cluster_lanes(basis, lanes, ClusteringConfig(k=k, seed=seed))
     path = _out_path(out)
     save_candidates(candidates, path)
@@ -315,9 +309,8 @@ def cluster(data, basis_path, k, seed, out, config, fmt):
 @click.option("--n", type=int, required=True)
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-def straight_anchors(basis_path, n, out, config):
+def straight_anchors(basis_path, n, out):
     """Emit n straight baseline anchors over a position x angle grid."""
-    _load_config(config)
     basis = load_basis(basis_path)
     anchors = straight_anchor_grid(basis, n)
     path = _out_path(out)
@@ -328,20 +321,15 @@ def straight_anchors(basis_path, n, out, config):
 @main.command("eval-candidates")
 @click.option("-c", "--candidates", "candidates_path", required=True, type=click.Path())
 @click.option("-d", "--data", required=True, type=click.Path())
-@click.option("--stripe-width", type=int, default=None)
+@FLAGS["stripe_width"]
 @click.option("--iou-mode", type=click.Choice(["interval", "pixel"]), default="interval",
               show_default=True, help="pixel mode audits with materialized masks")
 @config_option
-@format_option
-def eval_candidates(candidates_path, data, stripe_width, iou_mode, config, fmt):
+@FLAGS["format"]
+def eval_candidates(candidates_path, data, stripe_width, iou_mode, fmt):
     """Mean best-match IoU of a candidate set against a test dataset."""
-    cfg = _load_config(config)
-    stripe_width = _resolve(stripe_width, "stripe_width", cfg)
-    fmt = _resolve(fmt, "format", cfg)
     candidates = load_candidates(candidates_path)
-    grid = candidates.grid
-    records = load_dataset(data, fmt, (grid.image_width, grid.image_height))
-    test_lanes = [lane for record in records for lane in record.resampled(grid)]
+    test_lanes = _lanes(_records(data, fmt, candidates.grid), candidates.grid)
     if iou_mode == "interval":
         score = mean_best_iou(candidates, test_lanes, stripe_width)
     else:
@@ -358,29 +346,19 @@ def eval_candidates(candidates_path, data, stripe_width, iou_mode, config, fmt):
 @click.option("-c", "--candidates", "candidates_path", required=True, type=click.Path())
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("-d", "--data", required=True, type=click.Path())
-@click.option("--heights", type=int, default=None, help="number of height bins")
+@FLAGS["heights"]
 @click.option("--noise-sigma", type=float, default=0.0, show_default=True)
 @click.option("--iou-floor", type=float, default=OracleConfig.iou_floor, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--stripe-width", type=int, default=None)
+@FLAGS["seed"]
+@FLAGS["stripe_width"]
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-@format_option
+@FLAGS["format"]
 def score_oracle(candidates_path, basis_path, data, heights, noise_sigma, iou_floor,
-                 seed, stripe_width, out, config, fmt):
+                 seed, stripe_width, out, fmt):
     """Score candidates against ground truth (stand-in for a trained model)."""
-    cfg = _load_config(config)
-    heights = _resolve(heights, "heights", cfg)
-    seed = _resolve(seed, "seed", cfg)
-    stripe_width = _resolve(stripe_width, "stripe_width", cfg)
-    fmt = _resolve(fmt, "format", cfg)
-    basis = load_basis(basis_path)
-    candidates = load_candidates(candidates_path)
-    if candidates.basis_id != basis.content_id:
-        raise SchemaError("candidates were built from a different basis")
-    records = load_dataset(
-        data, fmt, (basis.grid.image_width, basis.grid.image_height)
-    )
+    basis, candidates = _basis_and_candidates(basis_path, candidates_path)
+    records = _records(data, fmt, basis.grid)
     height_grid = uniform_height_grid(basis.grid, heights)
     oracle_cfg = OracleConfig(
         iou_floor=iou_floor, noise_sigma=noise_sigma, seed=seed, stripe_width=stripe_width
@@ -399,10 +377,10 @@ def score_oracle(candidates_path, basis_path, data, heights, noise_sigma, iou_fl
 @click.option("-c", "--candidates", "candidates_path", required=True, type=click.Path())
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("-s", "--scores", "scores_path", required=True, type=click.Path())
-@click.option("--t", type=int, default=None)
-@click.option("--iou-thresh", type=float, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--stripe-width", type=int, default=None)
+@FLAGS["t"]
+@FLAGS["iou_thresh"]
+@FLAGS["kappa"]
+@FLAGS["stripe_width"]
 @click.option("--min-prob", type=float, default=None,
               help="stop NMS below this probability (off by default)")
 @click.option("--disable-offsets", is_flag=True, help="ablation: ignore offsets")
@@ -410,17 +388,9 @@ def score_oracle(candidates_path, basis_path, data, heights, noise_sigma, iou_fl
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
 def detect(candidates_path, basis_path, scores_path, t, iou_thresh, kappa, stripe_width,
-           min_prob, disable_offsets, disable_heights, out, config):
+           min_prob, disable_offsets, disable_heights, out):
     """Run NMS, clique selection and refinement on scored candidates."""
-    cfg = _load_config(config)
-    t = _resolve(t, "t", cfg)
-    iou_thresh = _resolve(iou_thresh, "iou_thresh", cfg)
-    kappa = _resolve(kappa, "kappa", cfg)
-    stripe_width = _resolve(stripe_width, "stripe_width", cfg)
-    basis = load_basis(basis_path)
-    candidates = load_candidates(candidates_path)
-    if candidates.basis_id != basis.content_id:
-        raise SchemaError("candidates were built from a different basis")
+    basis, candidates = _basis_and_candidates(basis_path, candidates_path)
     detection_cfg = DetectionConfig(
         t=t,
         iou_threshold=iou_thresh,
@@ -449,21 +419,15 @@ def detect(candidates_path, basis_path, scores_path, t, iou_thresh, kappa, strip
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("--metric", type=click.Choice(["culane", "tusimple"]), default="culane",
               show_default=True)
-@click.option("--iou-thresh", type=float, default=None)
-@click.option("--stripe-width", type=int, default=None)
+@FLAGS["iou_thresh"]
+@FLAGS["stripe_width"]
 @click.option("-o", "--out", type=click.Path(), default=None, help="JSON report path")
 @config_option
-@format_option
-def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out, config, fmt):
+@FLAGS["format"]
+def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out, fmt):
     """Score detections against ground truth."""
-    cfg = _load_config(config)
-    iou_thresh = _resolve(iou_thresh, "iou_thresh", cfg)
-    stripe_width = _resolve(stripe_width, "stripe_width", cfg)
-    fmt = _resolve(fmt, "format", cfg)
-    basis = load_basis(basis_path)
-    grid = basis.grid
-    records = load_dataset(data, fmt, (grid.image_width, grid.image_height))
-    by_id = {record.image_id: record for record in records}
+    grid = load_basis(basis_path).grid
+    by_id = {record.image_id: record for record in _records(data, fmt, grid)}
     detections = load_detections(pred_path, grid)
     missing = [image_id for image_id, _, _ in detections if image_id not in by_id]
     if missing:
@@ -517,22 +481,11 @@ def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out,
 @click.option("--max-candidates", type=int, default=40, show_default=True)
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
-@format_option
-def render(data, image_id, basis_path, pred_path, candidates_path, max_candidates, out,
-           config, fmt):
+@FLAGS["format"]
+def render(data, image_id, basis_path, pred_path, candidates_path, max_candidates, out, fmt):
     """Render ground truth (and optionally candidates / detections) as SVG."""
-    cfg = _load_config(config)
-    fmt = _resolve(fmt, "format", cfg)
-    basis = load_basis(basis_path)
-    grid = basis.grid
-    records = load_dataset(data, fmt, (grid.image_width, grid.image_height))
-    if image_id is None:
-        record = records[0]
-    else:
-        match = [r for r in records if r.image_id == image_id]
-        if not match:
-            raise SchemaError(f"image '{image_id}' not in dataset")
-        record = match[0]
+    grid = load_basis(basis_path).grid
+    record = _record(_records(data, fmt, grid), image_id)
     layers = []
     if candidates_path is not None:
         candidates = load_candidates(candidates_path)
@@ -555,26 +508,16 @@ def render(data, image_id, basis_path, pred_path, candidates_path, max_candidate
 @click.option("-d", "--data", required=True, type=click.Path())
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("--image-id", default=None)
-@click.option("--stripe-width", type=int, default=None)
+@FLAGS["stripe_width"]
 @click.option("--iou-mode", type=click.Choice(["interval", "pixel"]), default="interval",
               show_default=True)
 @config_option
-@format_option
-def iou_cmd(data, basis_path, image_id, stripe_width, iou_mode, config, fmt):
+@FLAGS["format"]
+def iou_cmd(data, basis_path, image_id, stripe_width, iou_mode, fmt):
     """Pairwise stripe IoU table of one image's lanes (audit helper)."""
-    cfg = _load_config(config)
-    stripe_width = _resolve(stripe_width, "stripe_width", cfg)
-    fmt = _resolve(fmt, "format", cfg)
-    basis = load_basis(basis_path)
-    records = load_dataset(
-        data, fmt, (basis.grid.image_width, basis.grid.image_height)
-    )
-    record = records[0] if image_id is None else next(
-        (r for r in records if r.image_id == image_id), None
-    )
-    if record is None:
-        raise SchemaError(f"image '{image_id}' not in dataset")
-    lanes = record.resampled(basis.grid)
+    grid = load_basis(basis_path).grid
+    record = _record(_records(data, fmt, grid), image_id)
+    lanes = record.resampled(grid)
     fn = stripe_iou if iou_mode == "interval" else stripe_iou_pixelcount
     for i in range(len(lanes)):
         row = [f"{fn(lanes[i], lanes[j], stripe_width):.4f}" for j in range(len(lanes))]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError, SchemaError
+from .errors import IoError, ParseError, SchemaError, ValidationError
 from .geometry import Lane, SamplingGrid, resample_polyline
 
 logger = logging.getLogger(__name__)
@@ -39,14 +39,14 @@ class DatasetRecord:
     def __post_init__(self):
         w, h = self.image_size
         if w <= 0 or h <= 0:
-            raise ValueError("image_size must be positive")
+            raise ValidationError("image_size must be positive")
         cleaned = []
         for poly in self.lanes:
             pts = np.asarray(poly, dtype=np.float64)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-                raise ValueError("each lane polyline needs >= 2 (x, y) points")
+                raise ValidationError("each lane polyline needs >= 2 (x, y) points")
             if not np.all(np.isfinite(pts)):
-                raise ValueError("polyline coordinates must be finite")
+                raise ValidationError("polyline coordinates must be finite")
             out_of_bounds = (
                 (pts[:, 0] < 0)
                 | (pts[:, 0] > w - 1)
@@ -69,15 +69,22 @@ class DatasetRecord:
         return [resample_polyline(poly, grid) for poly in self.lanes]
 
 
+def _numbers(values, line_number: int) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("coordinates must be numbers", line_number) from exc
+
+
 def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
     for key in ("lanes", "h_samples", "raw_file"):
         if key not in obj:
             raise SchemaError(f"line {line_number}: missing key '{key}'")
-    h_samples = np.asarray(obj["h_samples"], dtype=np.float64)
+    h_samples = _numbers(obj["h_samples"], line_number)
     polylines = []
     skipped = 0
     for xs in obj["lanes"]:
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = _numbers(xs, line_number)
         if xs.shape != h_samples.shape:
             raise SchemaError(
                 f"line {line_number}: lane length {xs.size} != h_samples {h_samples.size}"
@@ -134,25 +141,28 @@ def write_tusimple_jsonl(records, path):
     union of rows used by that image's lanes, with -2 filled where a lane
     has no annotation.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            rows = sorted(
-                {float(y) for poly in record.lanes for y in poly[:, 1]}
-            )
-            lanes_out = []
-            for poly in record.lanes:
-                by_row = {float(y): float(x) for x, y in poly}
-                lanes_out.append(
-                    [by_row.get(row, MISSING_X) for row in rows]
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for record in records:
+                rows = sorted(
+                    {float(y) for poly in record.lanes for y in poly[:, 1]}
                 )
-            obj = {
-                "raw_file": record.image_id,
-                "h_samples": rows,
-                "lanes": lanes_out,
-            }
-            if record.category is not None:
-                obj["category"] = record.category
-            fh.write(json.dumps(obj) + "\n")
+                lanes_out = []
+                for poly in record.lanes:
+                    by_row = {float(y): float(x) for x, y in poly}
+                    lanes_out.append(
+                        [by_row.get(row, MISSING_X) for row in rows]
+                    )
+                obj = {
+                    "raw_file": record.image_id,
+                    "h_samples": rows,
+                    "lanes": lanes_out,
+                }
+                if record.category is not None:
+                    obj["category"] = record.category
+                fh.write(json.dumps(obj) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_csv(path, image_size) -> list[DatasetRecord]:
@@ -191,13 +201,16 @@ def load_csv(path, image_size) -> list[DatasetRecord]:
 
 
 def write_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "lane_id", "x", "y"])
-        for record in records:
-            for lane_id, poly in enumerate(record.lanes):
-                for x, y in poly:
-                    writer.writerow([record.image_id, lane_id, repr(float(x)), repr(float(y))])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["image_id", "lane_id", "x", "y"])
+            for record in records:
+                for lane_id, poly in enumerate(record.lanes):
+                    for x, y in poly:
+                        writer.writerow([record.image_id, lane_id, repr(float(x)), repr(float(y))])
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_culane_dir(path, image_size=CULANE_IMAGE_SIZE) -> list[DatasetRecord]:

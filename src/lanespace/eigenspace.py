@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, RankDeficient
+from .errors import DimensionMismatch, GridMismatch, RankDeficient, ValidationError
 from .geometry import Lane, SamplingGrid
 
 # Relative singular-value cutoff defining the numerical rank.
@@ -35,9 +35,9 @@ class LaneMatrix:
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[0] != self.grid.n_samples or cols.shape[1] < 1:
-            raise ValueError("columns must be (n_samples, L) with L >= 1")
+            raise ValidationError("columns must be (n_samples, L) with L >= 1")
         if not np.all(np.isfinite(cols)):
-            raise ValueError("lane matrix entries must be finite")
+            raise ValidationError("lane matrix entries must be finite")
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
@@ -49,7 +49,7 @@ class LaneMatrix:
     def from_lanes(cls, lanes) -> "LaneMatrix":
         lanes = list(lanes)
         if not lanes:
-            raise ValueError("need at least one lane")
+            raise ValidationError("need at least one lane")
         grid = lanes[0].grid
         for lane in lanes[1:]:
             if lane.grid != grid:
@@ -74,14 +74,14 @@ class EigenBasis:
         u = np.asarray(self.u, dtype=np.float64)
         sv = np.asarray(self.singular_values, dtype=np.float64)
         if u.ndim != 2 or u.shape[0] != self.grid.n_samples or u.shape[1] < 1:
-            raise ValueError("u must be (n_samples, m) with m >= 1")
+            raise ValidationError("u must be (n_samples, m) with m >= 1")
         if sv.ndim != 1 or sv.size < u.shape[1]:
-            raise ValueError("need at least m singular values")
+            raise ValidationError("need at least m singular values")
         if np.any(sv <= 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be positive and non-increasing")
+            raise ValidationError("singular values must be positive and non-increasing")
         gram = u.T @ u
         if not np.allclose(gram, np.eye(u.shape[1]), atol=1e-9):
-            raise ValueError("basis columns must be orthonormal")
+            raise ValidationError("basis columns must be orthonormal")
         u.setflags(write=False)
         sv.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -124,7 +124,7 @@ def build_basis(matrix: LaneMatrix, m: int) -> EigenBasis:
     below RANK_CUTOFF relative to the largest are treated as zero).
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValidationError("m must be >= 1")
     u, s, _ = np.linalg.svd(matrix.columns, full_matrices=False)
     if s[0] <= 0:
         raise RankDeficient(m, 0)

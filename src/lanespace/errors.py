@@ -9,8 +9,8 @@ class LanespaceError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(LanespaceError):
-    """Invalid input data or arguments."""
+class ValidationError(LanespaceError, ValueError):
+    """Invalid input data or arguments; also a ValueError."""
 
 
 class InvalidAnnotation(ValidationError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidAnnotation
+from .errors import GridMismatch, InvalidAnnotation, ValidationError
 
 DEFAULT_STRIPE_WIDTH = 30
 
@@ -31,16 +31,16 @@ class SamplingGrid:
 
     def __post_init__(self):
         if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
+            raise ValidationError("image dimensions must be positive")
         ys = np.asarray(self.y_coords, dtype=np.float64)
         if ys.ndim != 1 or ys.size < 1:
-            raise ValueError("y_coords must be a non-empty 1-D array")
+            raise ValidationError("y_coords must be a non-empty 1-D array")
         if not np.all(np.isfinite(ys)):
-            raise ValueError("y_coords must be finite")
+            raise ValidationError("y_coords must be finite")
         if ys.size > 1 and not np.all(np.diff(ys) < 0):
-            raise ValueError("y_coords must be strictly decreasing (bottom first)")
+            raise ValidationError("y_coords must be strictly decreasing (bottom first)")
         if ys[0] >= self.image_height or ys[-1] < 0:
-            raise ValueError("y_coords must lie within [0, image_height)")
+            raise ValidationError("y_coords must lie within [0, image_height)")
         ys.setflags(write=False)
         object.__setattr__(self, "y_coords", ys)
 
@@ -63,7 +63,7 @@ class SamplingGrid:
         road surface normally sits.
         """
         if n_samples < 1:
-            raise ValueError("n_samples must be positive")
+            raise ValidationError("n_samples must be positive")
         if y_bottom is None:
             y_bottom = image_height - 1.0
         if y_top is None:
@@ -103,11 +103,11 @@ class Lane:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         if xs.shape != (self.grid.n_samples,):
-            raise ValueError("xs length must equal grid.n_samples")
+            raise ValidationError("xs length must equal grid.n_samples")
         if not np.all(np.isfinite(xs)):
-            raise ValueError("lane coordinates must be finite")
+            raise ValidationError("lane coordinates must be finite")
         if not 0 <= self.top_index <= self.grid.n_samples:
-            raise ValueError("top_index out of range")
+            raise ValidationError("top_index out of range")
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "top_index", int(self.top_index))
@@ -195,7 +195,7 @@ def stripe_spans(
     row is bit-identical to interpolating that lane on its own.
     """
     if width < 1:
-        raise ValueError("stripe width must be >= 1")
+        raise ValidationError("stripe width must be >= 1")
     xs = np.asarray(xs, dtype=np.float64)
     k = xs.shape[0]
     start = np.zeros((k, grid.image_height), dtype=np.int32)

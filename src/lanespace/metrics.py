@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
     Lane,
@@ -111,7 +112,7 @@ def match_lanes(
     predictions = list(predictions)
     ground_truth = list(ground_truth)
     if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in (0, 1]")
+        raise ValidationError("iou_threshold must be in (0, 1]")
     lanes = predictions + ground_truth
     n_pred, n_gt = len(predictions), len(ground_truth)
     ious = np.zeros((n_pred, n_gt))
@@ -201,7 +202,7 @@ def tusimple_score(
     predictions = [list(p) for p in predictions]
     ground_truth = [list(g) for g in ground_truth]
     if len(predictions) != len(ground_truth):
-        raise ValueError("need one prediction list per ground-truth list")
+        raise ValidationError("need one prediction list per ground-truth list")
     if image_ids is None:
         image_ids = [f"image_{i:05d}" for i in range(len(predictions))]
 

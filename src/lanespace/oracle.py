@@ -25,7 +25,7 @@ import numpy as np
 
 from .candidates import CandidateSet
 from .eigenspace import EigenBasis, project
-from .errors import GridMismatch
+from .errors import GridMismatch, ValidationError
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
     Lane,
@@ -49,9 +49,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.iou_floor < 1.0:
-            raise ValueError("iou_floor must be in [0, 1)")
+            raise ValidationError("iou_floor must be in [0, 1)")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+            raise ValidationError("noise_sigma must be non-negative")
 
 
 def _geometry_summary(lane: Lane, grid) -> np.ndarray:

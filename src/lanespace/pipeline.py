@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import DimensionMismatch, EmptyInput, TooManyNodes
+from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
 from .eigenspace import EigenBasis, reconstruct
 from .geometry import DEFAULT_STRIPE_WIDTH, Lane, batch_iou_one_vs_many
 
@@ -49,19 +49,19 @@ class CandidateScores:
         h = np.asarray(self.height_distributions, dtype=np.float64)
         o = np.asarray(self.offsets, dtype=np.float64)
         if p.ndim != 1:
-            raise ValueError("probabilities must be 1-D")
+            raise ValidationError("probabilities must be 1-D")
         k = p.size
         if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("probabilities must lie in [0, 1]")
+            raise ValidationError("probabilities must lie in [0, 1]")
         if h.shape[:1] != (k,) or h.ndim != 2:
-            raise ValueError("height_distributions must be (K, R)")
+            raise ValidationError("height_distributions must be (K, R)")
         if np.any(np.abs(h.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("each height distribution must sum to 1")
+            raise ValidationError("each height distribution must sum to 1")
         if o.shape[:1] != (k,) or o.ndim != 2:
-            raise ValueError("offsets must be (K, m)")
+            raise ValidationError("offsets must be (K, m)")
         for name, arr in (("probabilities", p), ("heights", h), ("offsets", o)):
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+                raise ValidationError(f"{name} must be finite")
             arr.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "height_distributions", h)
@@ -81,7 +81,7 @@ class CliqueResult:
 
     def __post_init__(self):
         if len(set(self.member_indices)) != len(self.member_indices):
-            raise ValueError("clique members must be distinct")
+            raise ValidationError("clique members must be distinct")
 
 
 def _bresenham(x0: int, y0: int, x1: int, y1: int):
@@ -173,9 +173,9 @@ def nms_select(
     early instead.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise ValidationError("t must be >= 1")
     if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in (0, 1]")
+        raise ValidationError("iou_threshold must be in (0, 1]")
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
     starts, ends = candidates.stripe_span_arrays(width)
@@ -223,7 +223,7 @@ def relation_from_features(features: np.ndarray) -> RelationMatrix:
 def _edge_weights(relation: RelationMatrix) -> np.ndarray:
     r = np.asarray(relation, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("relation matrix must be square")
+        raise ValidationError("relation matrix must be square")
     return 0.5 * (r + r.T)
 
 
@@ -246,7 +246,7 @@ def mwcs(
     if probs.shape != (t,):
         raise DimensionMismatch("need one probability per node")
     if not -1.0 <= kappa <= 1.0:
-        raise ValueError("kappa must be in [-1, 1]")
+        raise ValidationError("kappa must be in [-1, 1]")
 
     adj = [0] * t
     for i in range(t):
@@ -308,11 +308,11 @@ def finalize(
     """
     heights = np.asarray(height_grid, dtype=np.float64)
     if heights.ndim != 1 or heights.size != scores.height_distributions.shape[1]:
-        raise ValueError("height_grid length must match the height distributions")
+        raise ValidationError("height_grid length must match the height distributions")
     if heights.size > 1 and not (
         np.all(np.diff(heights) > 0) or np.all(np.diff(heights) < 0)
     ):
-        raise ValueError("height_grid must be strictly monotone")
+        raise ValidationError("height_grid must be strictly monotone")
     out = []
     for idx in clique.member_indices:
         if not 0 <= idx < candidates.k:
@@ -391,7 +391,7 @@ def uniform_height_grid(grid, r: int = 25) -> np.ndarray:
     last bin at the grid's top, matching the grid's bottom-first convention.
     """
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise ValidationError("r must be >= 1")
     if r == 1:
         return np.array([grid.y_coords[-1]])
     return np.linspace(grid.y_coords[0], grid.y_coords[-1], r)

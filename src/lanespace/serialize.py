@@ -8,7 +8,9 @@ content survives a round trip bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +47,29 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"dims": list(arr.shape), "data": arr.ravel().tolist()}
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """A flat JSON list as float64; SchemaError unless every item is a finite number."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise SchemaError(f"{what} must be a flat list of finite numbers") from exc
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what} must be a flat list of finite numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 def _decode_array(obj, expected_ndim: int | None = None) -> np.ndarray:
     if not isinstance(obj, dict):
         raise SchemaError("array field must be an object with dims and data")
     dims = _require(obj, "dims")
-    data = _require(obj, "data")
-    expected = int(np.prod(dims)) if dims else 0
-    if len(data) != expected:
-        raise SchemaError(f"array claims shape {dims} but carries {len(data)} values")
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
+        raise SchemaError(f"array dims must be non-negative integers, found {dims}")
+    data = _floats(_require(obj, "data"), "array data")
+    if data.size != math.prod(dims):
+        raise SchemaError(f"array claims shape {dims} but carries {data.size} values")
     if expected_ndim is not None and len(dims) != expected_ndim:
         raise SchemaError(f"array must have {expected_ndim} dims, found {len(dims)}")
-    return np.asarray(data, dtype=np.float64).reshape(dims)
+    return data.reshape(dims)
 
 
 def _grid_to_obj(grid: SamplingGrid) -> dict:
@@ -74,24 +88,45 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
     return SamplingGrid(int(obj["image_width"]), int(obj["image_height"]), ys)
 
 
-def _write_json(obj: dict, path):
+def _write_lines(objs, path):
+    """Write each object as one line of JSON."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-            fh.write("\n")
+            for obj in objs:
+                fh.write(json.dumps(obj) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_json(path) -> dict:
+def _write_json(obj: dict, path):
+    _write_lines([obj], path)
+
+
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text") from exc
+
+
+def _parse(text: str, path, kind: str) -> dict:
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from exc
+    _check_header(obj, kind)
+    return obj
+
+
+def _read_json(path, kind: str) -> dict:
+    return _parse(_read_text(path), path, kind)
+
+
+def _read_lines(path, kind: str) -> list[dict]:
+    """Parse and header-check every non-blank line of a JSON-lines file."""
+    return [_parse(line, path, kind) for line in _read_text(path).splitlines() if line.strip()]
 
 
 def save_basis(basis: EigenBasis, path):
@@ -109,8 +144,7 @@ def save_basis(basis: EigenBasis, path):
 
 
 def load_basis(path) -> EigenBasis:
-    obj = _read_json(path)
-    _check_header(obj, "eigen_basis")
+    obj = _read_json(path, "eigen_basis")
     grid = _grid_from_obj(_require(obj, "grid"))
     u = _decode_array(_require(obj, "u"), expected_ndim=2)
     sv = _decode_array(_require(obj, "singular_values"), expected_ndim=1)
@@ -136,8 +170,7 @@ def save_candidates(candidates: CandidateSet, path):
 
 
 def load_candidates(path) -> CandidateSet:
-    obj = _read_json(path)
-    _check_header(obj, "candidate_set")
+    obj = _read_json(path, "candidate_set")
     grid = _grid_from_obj(_require(obj, "grid"))
     coeffs = _decode_array(_require(obj, "coefficients"), expected_ndim=2)
     xs = _decode_array(_require(obj, "lanes"), expected_ndim=2)
@@ -155,39 +188,28 @@ def save_image_scores(entries, path):
 
     entries yields (image_id, CandidateScores, features, height_grid).
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for image_id, scores, features, height_grid in entries:
-                obj = {
-                    "schema_version": SCHEMA_VERSION,
-                    "kind": "image_scores",
-                    "image_id": image_id,
-                    "probabilities": _encode_array(scores.probabilities),
-                    "height_distributions": _encode_array(scores.height_distributions),
-                    "offsets": _encode_array(scores.offsets),
-                    "features": _encode_array(features),
-                    "height_grid": _encode_array(height_grid),
-                }
-                fh.write(json.dumps(obj) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_lines(
+        (
+            {
+                "schema_version": SCHEMA_VERSION,
+                "kind": "image_scores",
+                "image_id": image_id,
+                "probabilities": _encode_array(scores.probabilities),
+                "height_distributions": _encode_array(scores.height_distributions),
+                "offsets": _encode_array(scores.offsets),
+                "features": _encode_array(features),
+                "height_grid": _encode_array(height_grid),
+            }
+            for image_id, scores, features, height_grid in entries
+        ),
+        path,
+    )
 
 
 def load_image_scores(path):
     """Read per-image score records; yields (image_id, scores, features, height_grid)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     out = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc.msg}") from exc
-        _check_header(obj, "image_scores")
+    for obj in _read_lines(path, "image_scores"):
         scores = CandidateScores(
             _decode_array(_require(obj, "probabilities"), expected_ndim=1),
             _decode_array(_require(obj, "height_distributions"), expected_ndim=2),
@@ -206,42 +228,30 @@ def save_detections(entries, path):
 
     entries yields (image_id, list_of_lanes, clique_compatibility).
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for image_id, lanes, compatibility in entries:
-                obj = {
-                    "schema_version": SCHEMA_VERSION,
-                    "kind": "detections",
-                    "image_id": image_id,
-                    "lanes": [
-                        {"xs": lane.xs.tolist(), "top_index": lane.top_index}
-                        for lane in lanes
-                    ],
-                    "compatibility": float(compatibility),
-                }
-                fh.write(json.dumps(obj) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_lines(
+        (
+            {
+                "schema_version": SCHEMA_VERSION,
+                "kind": "detections",
+                "image_id": image_id,
+                "lanes": [
+                    {"xs": lane.xs.tolist(), "top_index": lane.top_index} for lane in lanes
+                ],
+                "compatibility": float(compatibility),
+            }
+            for image_id, lanes, compatibility in entries
+        ),
+        path,
+    )
 
 
 def load_detections(path, grid: SamplingGrid):
     """Read detections; returns list of (image_id, lanes, compatibility)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     out = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc.msg}") from exc
-        _check_header(obj, "detections")
+    for obj in _read_lines(path, "detections"):
         lanes = []
         for lane_obj in _require(obj, "lanes"):
-            xs = np.asarray(_require(lane_obj, "xs"), dtype=np.float64)
+            xs = _floats(_require(lane_obj, "xs"), "detection xs")
             if xs.size != grid.n_samples:
                 raise SchemaError("detection lane length does not match grid")
             lanes.append(Lane(xs, int(_require(lane_obj, "top_index")), grid))
@@ -251,29 +261,7 @@ def load_detections(path, grid: SamplingGrid):
 
 def save_match_report(report: MatchReport, path):
     _write_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "match_report",
-            "tp": report.tp,
-            "fp": report.fp,
-            "fn": report.fn,
-            "precision": report.precision,
-            "recall": report.recall,
-            "f_measure": report.f_measure,
-            "per_image": [
-                {
-                    "image_id": img.image_id,
-                    "tp": img.tp,
-                    "fp": img.fp,
-                    "fn": img.fn,
-                    "pairs": [list(pair) for pair in img.pairs],
-                    "pred_best_iou": list(img.pred_best_iou),
-                    "gt_best_iou": list(img.gt_best_iou),
-                    "greedy_equals_optimal": img.greedy_equals_optimal,
-                }
-                for img in report.per_image
-            ],
-        },
+        {"schema_version": SCHEMA_VERSION, "kind": "match_report", **dataclasses.asdict(report)},
         path,
     )
 
@@ -283,24 +271,7 @@ def save_point_accuracy_report(report: PointAccuracyReport, path):
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "point_accuracy_report",
-            "n_correct": report.n_correct,
-            "n_gt_points": report.n_gt_points,
-            "accuracy": report.accuracy,
-            "fpr": report.fpr,
-            "fnr": report.fnr,
-            "per_image": [
-                {
-                    "image_id": img.image_id,
-                    "n_correct": img.n_correct,
-                    "n_gt_points": img.n_gt_points,
-                    "accuracy": img.accuracy,
-                    "n_pred": img.n_pred,
-                    "n_false_pred": img.n_false_pred,
-                    "n_gt": img.n_gt,
-                    "n_missed": img.n_missed,
-                }
-                for img in report.per_image
-            ],
+            **dataclasses.asdict(report),
         },
         path,
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DatasetRecord
+from .errors import ValidationError
 
 FAMILIES = ("straight", "arc", "s_curve")
 
@@ -33,7 +34,6 @@ class SyntheticSpec:
     count: int
     seed: int = 0
     image_size: tuple[int, int] = (1280, 720)
-    n_samples: int = 50
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     curvature_range: tuple[float, float] = (1.8e-3, 3.5e-3)
     max_lanes: int = 5
@@ -44,16 +44,16 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise ValidationError("count must be >= 1")
         if len(self.weights) != 3 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be 3 non-negative numbers")
+            raise ValidationError("weights must be 3 non-negative numbers")
         if sum(self.weights) <= 0:
-            raise ValueError("weights must not all be zero")
+            raise ValidationError("weights must not all be zero")
         lo, hi = self.curvature_range
         if not (0 < lo <= hi) or not np.isfinite(hi):
-            raise ValueError("curvature_range must be finite and positive")
+            raise ValidationError("curvature_range must be finite and positive")
         if not 1 <= self.max_lanes <= 5:
-            raise ValueError("max_lanes must be in [1, 5]")
+            raise ValidationError("max_lanes must be in [1, 5]")
 
 
 def _straight_lanes(rng, spec, bottoms, y_tops):

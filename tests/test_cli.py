@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from lanespace.cli import main
+from lanespace.errors import ValidationError
 from lanespace.serialize import load_basis, load_candidates, load_detections
 
 
@@ -186,6 +187,108 @@ class TestValidationBehaviour:
         assert "cannot read" in result.output
 
 
+def _config(tmp_path, defaults):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "defaults": defaults}))
+    return str(path)
+
+
+def _scores_with(workspace, tmp_path, edit):
+    """The first scores line of the workspace run, changed by edit."""
+    obj = json.loads(workspace["scores"].read_text().splitlines()[0])
+    edit(obj)
+    path = tmp_path / "bad_scores.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    return str(path)
+
+
+def _detect(ws, tmp_path, scores=None):
+    return ["detect", "-c", str(ws["cands"]), "-b", str(ws["basis"]),
+            "-s", scores or str(ws["scores"]), "-o", str(tmp_path / "out.jsonl")]
+
+
+def _score(ws, tmp_path):
+    return ["score-oracle", "-c", str(ws["cands"]), "-b", str(ws["basis"]),
+            "-d", str(ws["test"]), "-o", str(tmp_path / "out.jsonl")]
+
+
+def _set_item(key, index, value):
+    return lambda obj: obj[key]["data"].__setitem__(index, value)
+
+
+# name -> (args built from the workspace and tmp_path, expected exit code)
+BAD_INPUTS = {
+    "detect-t-0": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "0"], 2),
+    "detect-kappa-2": (lambda ws, tmp: [*_detect(ws, tmp), "--kappa", "2"], 2),
+    "build-basis-rank-0": (
+        lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--rank", "0",
+                         "-o", str(tmp / "b.json")], 2),
+    "synth-count-0": (lambda ws, tmp: ["synth", "--count", "0", "-o", str(tmp / "s.jsonl")], 2),
+    "cluster-k-0": (
+        lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
+                         "--k", "0", "-o", str(tmp / "c.json")], 2),
+    "score-oracle-heights-0": (lambda ws, tmp: [*_score(ws, tmp), "--heights", "0"], 2),
+    "score-oracle-iou-floor-1.5": (lambda ws, tmp: [*_score(ws, tmp), "--iou-floor", "1.5"], 2),
+    "synth-out-is-directory": (lambda ws, tmp: ["synth", "--count", "2", "-o", str(tmp)], 1),
+    "synth-out-under-a-file": (
+        lambda ws, tmp: ["synth", "--count", "2", "-o", str(ws["train"] / "x.jsonl")], 1),
+    "approx-ranks-a": (
+        lambda ws, tmp: ["approx", "-d", str(ws["train"]), "-b", str(ws["basis"]),
+                         "--ranks", "a"], 2),
+    "synth-seed-negative": (
+        lambda ws, tmp: ["synth", "--count", "2", "--seed", "-1", "-o", str(tmp / "s.jsonl")],
+        2),
+    "config-t-ten": (
+        lambda ws, tmp: [*_detect(ws, tmp), "--config", _config(tmp, {"t": "ten"})], 2),
+    "config-seed-x": (
+        lambda ws, tmp: ["synth", "--count", "2", "--config", _config(tmp, {"seed": "x"}),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "config-null-k": (
+        lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
+                         "--config", _config(tmp, {"k": None}), "-o", str(tmp / "c.json")], 2),
+    "scores-bad-dims": (
+        lambda ws, tmp: _detect(ws, tmp, _scores_with(
+            ws, tmp, lambda obj: obj["probabilities"].update(dims=["a", 1]))), 2),
+    "scores-string-data": (
+        lambda ws, tmp: _detect(ws, tmp, _scores_with(
+            ws, tmp, _set_item("probabilities", 0, "a"))), 2),
+    "scores-nan-features": (
+        lambda ws, tmp: _detect(ws, tmp, _scores_with(
+            ws, tmp, _set_item("features", 0, float("nan")))), 2),
+    "scores-probability-1.5": (
+        lambda ws, tmp: _detect(ws, tmp, _scores_with(
+            ws, tmp, _set_item("probabilities", 0, 1.5))), 2),
+    "scores-not-utf8": (lambda ws, tmp: _detect(ws, tmp, str(tmp / "binary.jsonl")), 2),
+    "dataset-string-coordinates": (
+        lambda ws, tmp: ["build-basis", "-d", str(tmp / "strings.jsonl"),
+                         "-o", str(tmp / "b.json")], 2),
+    "render-empty-dataset": (
+        lambda ws, tmp: ["render", "-d", str(tmp / "empty.jsonl"), "-b", str(ws["basis"]),
+                         "-o", str(tmp / "r.svg")], 2),
+}
+
+
+class TestInputErrorsExitCleanly:
+    def test_validation_error_is_a_value_error(self):
+        assert issubclass(ValidationError, ValueError)
+
+    @pytest.mark.parametrize("name", list(BAD_INPUTS))
+    def test_one_error_line_and_no_traceback(self, runner, workspace, tmp_path, name):
+        build, code = BAD_INPUTS[name]
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "strings.jsonl").write_text(
+            json.dumps({"raw_file": "a", "h_samples": [700, 600], "lanes": [["x", 5]]}) + "\n"
+        )
+        result = runner.invoke(main, build(workspace, tmp_path))
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith(("error:", "Error:"))]
+        assert len(errors) == 1, result.output
+        assert "Traceback" not in result.output
+
+
 class TestConfigAndEnv:
     def test_config_file_overrides_defaults(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -195,9 +298,21 @@ class TestConfigAndEnv:
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
         run_ok(runner, ["synth", "--count", "4", "--config", str(config), "-o", str(out_a)])
-        run_ok(runner, ["synth", "--count", "4", "--seed", "9", "--samples", "30",
-                        "-o", str(out_b)])
+        run_ok(runner, ["synth", "--count", "4", "--seed", "9", "-o", str(out_b)])
         assert out_a.read_text() == out_b.read_text()
+
+    def test_config_values_are_converted_like_flags(self, runner, tmp_path):
+        config = _config(tmp_path, {"seed": "9"})
+        out_a = tmp_path / "a.jsonl"
+        out_b = tmp_path / "b.jsonl"
+        run_ok(runner, ["synth", "--count", "4", "--config", config, "-o", str(out_a)])
+        run_ok(runner, ["synth", "--count", "4", "--seed", "9", "-o", str(out_b)])
+        assert out_a.read_text() == out_b.read_text()
+
+    def test_help_shows_shared_defaults(self, runner):
+        text = run_ok(runner, ["detect", "--help"]).output
+        assert "[default: 10]" in text
+        assert "[default: 0.3]" in text
 
     def test_explicit_flag_beats_config(self, runner, tmp_path):
         config = tmp_path / "config.json"
