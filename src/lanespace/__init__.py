@@ -75,7 +75,6 @@ from .pipeline import (
     DetectionConfig,
     detect_image,
     finalize,
-    line_pool,
     mwcs,
     nms_select,
     relation_from_features,
@@ -125,7 +124,6 @@ __all__ = [
     "f_measure",
     "finalize",
     "generate_synthetic",
-    "line_pool",
     "lloyd_kmeans",
     "load_csv",
     "load_culane_dir",

@@ -30,7 +30,7 @@ from . import __version__
 from .candidates import ClusteringConfig, cluster_lanes, mean_best_iou, straight_anchor_grid
 from .datasets import load_dataset, write_csv, write_tusimple_jsonl
 from .eigenspace import LaneMatrix, build_basis
-from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError
+from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError, read_text
 from .geometry import SamplingGrid, stripe_iou, stripe_iou_pixelcount
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
@@ -81,9 +81,7 @@ def _apply_config(ctx, param, path):
     if path is None:
         return
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):

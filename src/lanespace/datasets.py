@@ -10,6 +10,7 @@ per-image "x y x y ..." text files are supported as a loader variant.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError, SchemaError, ValidationError
+from .errors import IoError, ParseError, SchemaError, ValidationError, read_text
 from .geometry import Lane, SamplingGrid, resample_polyline
 
 logger = logging.getLogger(__name__)
@@ -115,22 +116,17 @@ def load_tusimple_jsonl(path, image_size=TUSIMPLE_IMAGE_SIZE) -> list[DatasetRec
     (defaulting to the usual 1280x720).
     """
     records = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line_number)
-            records.append(_tusimple_record(obj, line_number, image_size))
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line_number)
+        records.append(_tusimple_record(obj, line_number, image_size))
     return records
 
 
@@ -168,25 +164,19 @@ def write_tusimple_jsonl(records, path):
 def load_csv(path, image_size) -> list[DatasetRecord]:
     """Load the minimal CSV layout: image_id, lane_id, x, y per row."""
     grouped: dict[str, dict[str, list]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        for line_number, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if line_number == 1 and row[0].strip().lower() == "image_id":
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, got {len(row)}", line_number)
-            image_id, lane_id, x, y = (col.strip() for col in row)
-            try:
-                point = (float(x), float(y))
-            except ValueError as exc:
-                raise ParseError(f"bad coordinate: {exc}", line_number) from exc
-            grouped.setdefault(image_id, {}).setdefault(lane_id, []).append(point)
+    for line_number, row in enumerate(csv.reader(io.StringIO(read_text(path))), start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if line_number == 1 and row[0].strip().lower() == "image_id":
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 columns, got {len(row)}", line_number)
+        image_id, lane_id, x, y = (col.strip() for col in row)
+        try:
+            point = (float(x), float(y))
+        except ValueError as exc:
+            raise ParseError(f"bad coordinate: {exc}", line_number) from exc
+        grouped.setdefault(image_id, {}).setdefault(lane_id, []).append(point)
     records = []
     for image_id, lanes in grouped.items():
         polylines = []
@@ -224,9 +214,7 @@ def load_culane_dir(path, image_size=CULANE_IMAGE_SIZE) -> list[DatasetRecord]:
     records = []
     for file in sorted(root.glob("*.lines.txt")):
         polylines = []
-        for line_number, line in enumerate(
-            file.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for line_number, line in enumerate(read_text(file).splitlines(), start=1):
             parts = line.split()
             if not parts:
                 continue

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 ValidationError subclasses signal bad inputs (CLI exit code 2); everything
-else under LanespaceError is a runtime failure (exit code 1).
+else under LanespaceError is a runtime failure (exit code 1). read_text is
+the one place where a failed file read is mapped onto the hierarchy.
 """
+
+from pathlib import Path
 
 
 class LanespaceError(Exception):
@@ -68,3 +71,13 @@ class VersionError(ValidationError):
 
 class IoError(LanespaceError):
     """Filesystem read/write failure."""
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text; IoError if it cannot be read, SchemaError if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text") from exc

@@ -1,15 +1,16 @@
 """Detection-time selection stages over externally supplied scores.
 
-The stages mirror an anchor-based detector head: per-candidate feature
-pooling along the lane path, greedy NMS on lane probabilities, a pairwise
-relation matrix over the survivors, exact maximum-weight-clique selection
-with a single-node fallback, and final coefficient-space plus height
-refinement. No learning happens here; probabilities, height distributions,
-offsets and feature vectors arrive through the scores contract.
+The stages mirror an anchor-based detector head: greedy NMS on lane
+probabilities, a pairwise relation matrix over the survivors, exact
+maximum-weight-clique selection with a single-node fallback, and final
+coefficient-space plus height refinement. No learning happens here;
+probabilities, height distributions, offsets and feature vectors arrive
+through the scores contract.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,9 +24,6 @@ from .geometry import DEFAULT_STRIPE_WIDTH, Lane, batch_iou_one_vs_many
 # Exact clique enumeration is only reasonable for small graphs; NMS keeps
 # the node count at T (default 10) anyway.
 MAX_CLIQUE_NODES = 25
-
-# A feature grid is a dense (height, width, channels) float array.
-FeatureGrid = np.ndarray
 
 # A relation matrix is a dense (T, T) float array with entries in [-1, 1].
 RelationMatrix = np.ndarray
@@ -82,77 +80,6 @@ class CliqueResult:
     def __post_init__(self):
         if len(set(self.member_indices)) != len(self.member_indices):
             raise ValidationError("clique members must be distinct")
-
-
-def _bresenham(x0: int, y0: int, x1: int, y1: int):
-    """Integer pixel chain from (x0, y0) to (x1, y1), endpoints included."""
-    dx = abs(x1 - x0)
-    dy = abs(y1 - y0)
-    sx = 1 if x1 >= x0 else -1
-    sy = 1 if y1 >= y0 else -1
-    err = dx - dy
-    x, y = x0, y0
-    while True:
-        yield x, y
-        if x == x1 and y == y1:
-            return
-        e2 = 2 * err
-        if e2 > -dy:
-            err -= dy
-            x += sx
-        if e2 < dx:
-            err += dx
-            y += sy
-
-
-def lane_pixel_path(lane: Lane, scale_x: float = 1.0, scale_y: float = 1.0):
-    """Distinct feature-grid pixels along the lane's valid extent.
-
-    Consecutive valid samples are connected with Bresenham segments after
-    scaling image coordinates into the feature grid; duplicates are removed
-    while preserving first-visit order.
-    """
-    pts = lane.valid_points()
-    if pts.shape[0] == 0:
-        return []
-    cols = np.floor(pts[:, 0] * scale_x + 0.5).astype(np.int64)
-    rows = np.floor(pts[:, 1] * scale_y + 0.5).astype(np.int64)
-    seen = set()
-    path = []
-    for i in range(len(cols)):
-        if i == 0:
-            segment = [(int(cols[0]), int(rows[0]))]
-        else:
-            segment = _bresenham(
-                int(cols[i - 1]), int(rows[i - 1]), int(cols[i]), int(rows[i])
-            )
-        for p in segment:
-            if p not in seen:
-                seen.add(p)
-                path.append(p)
-    return path
-
-
-def line_pool(
-    grid: FeatureGrid, lane: Lane, scale_x: float = 1.0, scale_y: float = 1.0
-) -> np.ndarray:
-    """Average the feature vectors of the pixels along the lane.
-
-    Pixels falling outside the grid are skipped; a lane entirely outside the
-    grid pools to the zero vector (with a warning).
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 3 or grid.size == 0:
-        raise EmptyInput("feature grid must be a non-empty (H, W, C) array")
-    h, w, c = grid.shape
-    path = lane_pixel_path(lane, scale_x, scale_y)
-    inside = [(col, row) for col, row in path if 0 <= row < h and 0 <= col < w]
-    if not inside:
-        warnings.warn("lane lies outside the feature grid; pooled zeros", stacklevel=2)
-        return np.zeros(c)
-    cols = np.array([p[0] for p in inside])
-    rows = np.array([p[1] for p in inside])
-    return grid[rows, cols, :].mean(axis=0)
 
 
 def nms_select(
@@ -248,44 +175,33 @@ def mwcs(
     if not -1.0 <= kappa <= 1.0:
         raise ValidationError("kappa must be in [-1, 1]")
 
-    adj = [0] * t
-    for i in range(t):
-        for j in range(t):
-            if i != j and w[i, j] > kappa:
-                adj[i] |= 1 << j
+    rows = w.tolist()
+    adj = [
+        sum(1 << j for j, x in enumerate(row) if j != i and x > kappa)
+        for i, row in enumerate(rows)
+    ]
+    # (weight, size, negated members): max prefers the heavier clique, then
+    # the larger one, then the lexicographically smallest index set
+    best = (-math.inf, 0, ())
 
-    best: tuple[float, int, tuple[int, ...]] | None = None
-
-    def consider(members: tuple[int, ...], weight: float):
-        nonlocal best
-        key = (weight, len(members), tuple(-m for m in members))
-        if best is None:
-            best = (weight, len(members), members)
-            return
-        bkey = (best[0], best[1], tuple(-m for m in best[2]))
-        if key > bkey:
-            best = (weight, len(members), members)
-
-    def extend(members: list[int], weight: float, allowed: int):
+    def extend(members: tuple[int, ...], weight: float, allowed: int):
         # `allowed` holds nodes > members[-1] adjacent to every member
-        v = allowed
-        while v:
-            node = (v & -v).bit_length() - 1
-            v &= v - 1
-            gain = sum(w[node, m] for m in members)
-            new_members = members + [node]
-            new_weight = weight + gain
-            if len(new_members) >= 2:
-                consider(tuple(new_members), new_weight)
-            mask_higher = ~((1 << (node + 1)) - 1)
-            extend(new_members, new_weight, allowed & adj[node] & mask_higher)
+        nonlocal best
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            node = low.bit_length() - 1
+            row = rows[node]
+            grown = members + (node,)
+            total = weight + sum(row[m] for m in members)
+            if members:
+                best = max(best, (total, len(grown), tuple(-m for m in grown)))
+            # what is left of `allowed` lies above node
+            extend(grown, total, allowed & adj[node])
 
-    for start in range(t):
-        higher = ~((1 << (start + 1)) - 1)
-        extend([start], 0.0, adj[start] & higher)
-
-    if best is not None:
-        return CliqueResult(best[2], float(best[0]))
+    extend((), 0.0, (1 << t) - 1)
+    if best[1]:
+        return CliqueResult(tuple(-m for m in best[2]), best[0])
     fallback = int(np.argmax(probs))
     return CliqueResult((fallback,), 0.0)
 

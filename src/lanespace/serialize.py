@@ -11,12 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import IoError, SchemaError, VersionError
+from .errors import IoError, SchemaError, VersionError, read_text
 from .eigenspace import EigenBasis
 from .geometry import Lane, SamplingGrid
 from .metrics import MatchReport, PointAccuracyReport
@@ -58,6 +57,12 @@ def _floats(values, what: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, found {value!r}")
+    return value
+
+
 def _decode_array(obj, expected_ndim: int | None = None) -> np.ndarray:
     if not isinstance(obj, dict):
         raise SchemaError("array field must be an object with dims and data")
@@ -85,7 +90,11 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
     ys = _decode_array(_require(obj, "y_coords"), expected_ndim=1)
     if ys.size != _require(obj, "n_samples"):
         raise SchemaError("grid n_samples does not match y_coords length")
-    return SamplingGrid(int(obj["image_width"]), int(obj["image_height"]), ys)
+    return SamplingGrid(
+        _int(_require(obj, "image_width"), "image_width"),
+        _int(_require(obj, "image_height"), "image_height"),
+        ys,
+    )
 
 
 def _write_lines(objs, path):
@@ -102,15 +111,6 @@ def _write_json(obj: dict, path):
     _write_lines([obj], path)
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text") from exc
-
-
 def _parse(text: str, path, kind: str) -> dict:
     try:
         obj = json.loads(text)
@@ -121,12 +121,12 @@ def _parse(text: str, path, kind: str) -> dict:
 
 
 def _read_json(path, kind: str) -> dict:
-    return _parse(_read_text(path), path, kind)
+    return _parse(read_text(path), path, kind)
 
 
 def _read_lines(path, kind: str) -> list[dict]:
     """Parse and header-check every non-blank line of a JSON-lines file."""
-    return [_parse(line, path, kind) for line in _read_text(path).splitlines() if line.strip()]
+    return [_parse(line, path, kind) for line in read_text(path).splitlines() if line.strip()]
 
 
 def save_basis(basis: EigenBasis, path):
@@ -179,7 +179,7 @@ def load_candidates(path) -> CandidateSet:
         raise SchemaError("candidate count disagreement")
     if xs.shape[1] != grid.n_samples:
         raise SchemaError("candidate lane length does not match grid")
-    lanes = [Lane(row, int(top), grid) for row, top in zip(xs, tops)]
+    lanes = [Lane(row, _int(top, "top_indices"), grid) for row, top in zip(xs, tops)]
     return CandidateSet(lanes, coeffs, str(_require(obj, "basis_id")))
 
 
@@ -254,7 +254,7 @@ def load_detections(path, grid: SamplingGrid):
             xs = _floats(_require(lane_obj, "xs"), "detection xs")
             if xs.size != grid.n_samples:
                 raise SchemaError("detection lane length does not match grid")
-            lanes.append(Lane(xs, int(_require(lane_obj, "top_index")), grid))
+            lanes.append(Lane(xs, _int(_require(lane_obj, "top_index"), "top_index"), grid))
         out.append((str(_require(obj, "image_id")), lanes, obj.get("compatibility", 0.0)))
     return out
 

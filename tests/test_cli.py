@@ -193,13 +193,13 @@ def _config(tmp_path, defaults):
     return str(path)
 
 
-def _scores_with(workspace, tmp_path, edit):
-    """The first scores line of the workspace run, changed by edit."""
-    obj = json.loads(workspace["scores"].read_text().splitlines()[0])
+def _edited(path, tmp_path, edit):
+    """The first line of a workspace artifact, changed by edit, as a new file."""
+    obj = json.loads(path.read_text().splitlines()[0])
     edit(obj)
-    path = tmp_path / "bad_scores.jsonl"
-    path.write_text(json.dumps(obj) + "\n")
-    return str(path)
+    out = tmp_path / f"bad_{path.name}"
+    out.write_text(json.dumps(obj) + "\n")
+    return str(out)
 
 
 def _detect(ws, tmp_path, scores=None):
@@ -212,8 +212,21 @@ def _score(ws, tmp_path):
             "-d", str(ws["test"]), "-o", str(tmp_path / "out.jsonl")]
 
 
+def _eval_candidates(ws, tmp, edit):
+    return ["eval-candidates", "-c", _edited(ws["cands"], tmp, edit), "-d", str(ws["test"])]
+
+
+def _eval(ws, tmp, edit):
+    return ["eval", "-p", _edited(ws["det"], tmp, edit), "-d", str(ws["test"]),
+            "-b", str(ws["basis"])]
+
+
 def _set_item(key, index, value):
     return lambda obj: obj[key]["data"].__setitem__(index, value)
+
+
+def _set_top(value):
+    return lambda obj: obj["lanes"][0].update(top_index=value)
 
 
 # name -> (args built from the workspace and tmp_path, expected exit code)
@@ -247,18 +260,41 @@ BAD_INPUTS = {
         lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
                          "--config", _config(tmp, {"k": None}), "-o", str(tmp / "c.json")], 2),
     "scores-bad-dims": (
-        lambda ws, tmp: _detect(ws, tmp, _scores_with(
-            ws, tmp, lambda obj: obj["probabilities"].update(dims=["a", 1]))), 2),
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, lambda obj: obj["probabilities"].update(dims=["a", 1]))), 2),
     "scores-string-data": (
-        lambda ws, tmp: _detect(ws, tmp, _scores_with(
-            ws, tmp, _set_item("probabilities", 0, "a"))), 2),
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, _set_item("probabilities", 0, "a"))), 2),
     "scores-nan-features": (
-        lambda ws, tmp: _detect(ws, tmp, _scores_with(
-            ws, tmp, _set_item("features", 0, float("nan")))), 2),
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, _set_item("features", 0, float("nan")))), 2),
     "scores-probability-1.5": (
-        lambda ws, tmp: _detect(ws, tmp, _scores_with(
-            ws, tmp, _set_item("probabilities", 0, 1.5))), 2),
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, _set_item("probabilities", 0, 1.5))), 2),
     "scores-not-utf8": (lambda ws, tmp: _detect(ws, tmp, str(tmp / "binary.jsonl")), 2),
+    "dataset-not-utf8": (
+        lambda ws, tmp: ["build-basis", "-d", str(tmp / "binary.jsonl"),
+                         "-o", str(tmp / "b.json")], 2),
+    "csv-not-utf8": (
+        lambda ws, tmp: ["build-basis", "-d", str(tmp / "binary.jsonl"), "--format", "csv",
+                         "-o", str(tmp / "b.json")], 2),
+    "culane-not-utf8": (
+        lambda ws, tmp: ["build-basis", "-d", str(tmp / "culane"), "--format", "culane",
+                         "-o", str(tmp / "b.json")], 2),
+    "config-not-utf8": (
+        lambda ws, tmp: ["synth", "--count", "2", "--config", str(tmp / "binary.jsonl"),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "candidates-top-index-2.7": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["top_indices"].__setitem__(0, 2.7)), 2),
+    "candidates-top-index-a": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["top_indices"].__setitem__(0, "a")), 2),
+    "candidates-image-width-x": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["grid"].update(image_width="x")), 2),
+    "detections-top-index-2.7": (lambda ws, tmp: _eval(ws, tmp, _set_top(2.7)), 2),
+    "detections-top-index-a": (lambda ws, tmp: _eval(ws, tmp, _set_top("a")), 2),
     "dataset-string-coordinates": (
         lambda ws, tmp: ["build-basis", "-d", str(tmp / "strings.jsonl"),
                          "-o", str(tmp / "b.json")], 2),
@@ -277,6 +313,8 @@ class TestInputErrorsExitCleanly:
         build, code = BAD_INPUTS[name]
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "culane").mkdir()
+        (tmp_path / "culane" / "a.lines.txt").write_bytes(b"\xff\xfe\n")
         (tmp_path / "strings.jsonl").write_text(
             json.dumps({"raw_file": "a", "h_samples": [700, 600], "lanes": [["x", 5]]}) + "\n"
         )

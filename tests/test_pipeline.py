@@ -10,11 +10,9 @@ from lanespace import (
     CandidateSet,
     CliqueResult,
     DimensionMismatch,
-    EmptyInput,
     Lane,
     TooManyNodes,
     finalize,
-    line_pool,
     mwcs,
     nms_select,
     project,
@@ -23,7 +21,7 @@ from lanespace import (
     stripe_iou,
     uniform_height_grid,
 )
-from lanespace.pipeline import MAX_CLIQUE_NODES, lane_pixel_path
+from lanespace.pipeline import MAX_CLIQUE_NODES
 
 
 def brute_force_mwcs(weights, probabilities, kappa):
@@ -47,6 +45,38 @@ def brute_force_mwcs(weights, probabilities, kappa):
     if best is None:
         return (int(np.argmax(probabilities)),), 0.0
     return best[1], best[2]
+
+
+def reference_mwcs(relation, probabilities, kappa):
+    """Reference solver: depth-first enumeration of every clique from each start node.
+
+    Weights are added in ascending member order, as mwcs adds them, so the
+    totals must agree bit for bit.
+    """
+    w = 0.5 * (relation + relation.T)
+    t = w.shape[0]
+    adj = [sum(1 << j for j in range(t) if j != i and w[i, j] > kappa) for i in range(t)]
+    best = None
+
+    def extend(members, weight, allowed):
+        nonlocal best
+        v = allowed
+        while v:
+            node = (v & -v).bit_length() - 1
+            v &= v - 1
+            new_members = members + [node]
+            new_weight = weight + sum(w[node, m] for m in members)
+            key = (new_weight, len(new_members), tuple(-m for m in new_members))
+            if best is None or key > best:
+                best = key
+            higher = ~((1 << (node + 1)) - 1)
+            extend(new_members, new_weight, allowed & adj[node] & higher)
+
+    for start in range(t):
+        extend([start], 0.0, adj[start] & ~((1 << (start + 1)) - 1))
+    if best is None:
+        return (int(np.argmax(probabilities)),), 0.0
+    return tuple(-m for m in best[2]), float(best[0])
 
 
 def clique_weight(relation, members):
@@ -76,74 +106,6 @@ def scores_for(candidates, probs, heights_bins=5, offsets=None):
     if offsets is None:
         offsets = np.zeros((k, m))
     return CandidateScores(np.asarray(probs, dtype=np.float64), height, offsets)
-
-
-class TestLinePool:
-    def test_constant_grid(self, make_vertical):
-        grid_values = np.full((720, 1280, 3), 7.5)
-        pooled = line_pool(grid_values, make_vertical(431.0))
-        assert np.allclose(pooled, 7.5)
-
-    def test_column_index_grid(self, make_vertical):
-        grid_values = np.tile(
-            np.arange(1280, dtype=np.float64)[None, :, None], (720, 1, 1)
-        )
-        pooled = line_pool(grid_values, make_vertical(7.0))
-        assert pooled[0] == pytest.approx(7.0)
-
-    def test_diagonal_lane_matches_pixel_walk_oracle(self, grid):
-        rng = np.random.default_rng(8)
-        values = rng.normal(size=(90, 160, 4))
-        rise = grid.y_coords[0] - grid.y_coords
-        lane = Lane(300.0 + 0.9 * rise, grid.n_samples, grid)
-        sx, sy = 160 / 1280.0, 90 / 720.0
-        pooled = line_pool(values, lane, scale_x=sx, scale_y=sy)
-
-        # oracle: revisit every segment pixel by pixel with a scalar walk
-        pts = lane.valid_points()
-        cols = np.floor(pts[:, 0] * sx + 0.5).astype(int)
-        rows = np.floor(pts[:, 1] * sy + 0.5).astype(int)
-        seen = []
-        for i in range(1, len(cols)):
-            x0, y0, x1, y1 = cols[i - 1], rows[i - 1], cols[i], rows[i]
-            n = max(abs(x1 - x0), abs(y1 - y0))
-            walked = [(x0, y0)]
-            # integer line walk; for slopes <= 1 per axis this matches bresenham
-            x, y = x0, y0
-            err = abs(x1 - x0) - abs(y1 - y0)
-            sx_step = 1 if x1 >= x0 else -1
-            sy_step = 1 if y1 >= y0 else -1
-            for _ in range(2 * n + 2):
-                if (x, y) == (x1, y1):
-                    break
-                e2 = 2 * err
-                if e2 > -abs(y1 - y0):
-                    err -= abs(y1 - y0)
-                    x += sx_step
-                if e2 < abs(x1 - x0):
-                    err += abs(x1 - x0)
-                    y += sy_step
-                walked.append((x, y))
-            seen.extend(walked)
-        unique = list(dict.fromkeys(seen))
-        inside = [(c, r) for c, r in unique if 0 <= r < 90 and 0 <= c < 160]
-        expected = np.mean([values[r, c] for c, r in inside], axis=0)
-        assert np.allclose(pooled, expected, atol=1e-9)
-
-    def test_fully_outside_lane_warns_and_zeroes(self, grid):
-        values = np.ones((10, 10, 2))
-        lane = Lane(np.full(grid.n_samples, 5000.0), grid.n_samples, grid)
-        with pytest.warns(UserWarning):
-            pooled = line_pool(values, lane)
-        assert np.allclose(pooled, 0.0)
-
-    def test_empty_grid_rejected(self, make_vertical):
-        with pytest.raises(EmptyInput):
-            line_pool(np.zeros((0, 4, 1)), make_vertical(100.0))
-
-    def test_path_has_no_duplicates(self, make_vertical):
-        path = lane_pixel_path(make_vertical(100.0))
-        assert len(path) == len(set(path))
 
 
 class TestNmsSelect:
@@ -293,6 +255,25 @@ class TestMwcs:
             assert clique_weight(w, result.member_indices) == pytest.approx(
                 result.compatibility, abs=1e-9
             )
+
+    @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.3])
+    def test_matches_reference_on_dense_cosine_graphs(self, kappa):
+        # noisy features around one shared direction: noise 0.9 relates about
+        # nine in ten pairs, 2.5 leaves sparser graphs with negative edges;
+        # their cosines are not dyadic, so sums must follow the same order
+        rng = np.random.default_rng(14)
+        for t in range(13, 17):
+            for noise in (0.9, 2.5):
+                direction = rng.normal(size=11)
+                features = direction / np.linalg.norm(direction) + noise * rng.normal(
+                    size=(t, 11)
+                ) / np.sqrt(11)
+                relation = relation_from_features(features)
+                probs = rng.uniform(size=t)
+                expected_members, expected_weight = reference_mwcs(relation, probs, kappa)
+                result = mwcs(relation, probs, kappa)
+                assert result.member_indices == expected_members
+                assert result.compatibility == expected_weight
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
