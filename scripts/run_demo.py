@@ -15,6 +15,7 @@ from pathlib import Path
 from lanespace import (
     ClusteringConfig,
     DetectionConfig,
+    Lane,
     LaneLayer,
     LaneMatrix,
     SamplingGrid,
@@ -87,11 +88,12 @@ def main():
           f"FNR {point.fnr:.4f}")
 
     record, gt, detected = first_scene
+    shown = [Lane(xs, top, grid) for xs, top in zip(candidates.xs[:40], candidates.top_index)]
     svg_path = out_dir / f"{record.image_id}.svg"
     render_svg(
         record,
         [
-            LaneLayer("candidates", candidates.lanes[:40], "#3a4750", stroke_width=1.0),
+            LaneLayer("candidates", shown, "#3a4750", stroke_width=1.0),
             LaneLayer("ground truth", gt, "#00b7c2"),
             LaneLayer("detections", detected, "#ff5d73", stroke_width=1.5, dash="6,4"),
         ],

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, GridMismatch, TooManyClusters, ValidationError
-from .eigenspace import EigenBasis, LaneMatrix, project_columns, reconstruct
+from .eigenspace import EigenBasis, LaneMatrix, project_columns
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
     Lane,
     SamplingGrid,
     batch_iou_one_vs_many,
+    lane_arrays,
     stack_lanes,
     stripe_spans,
 )
@@ -44,41 +45,39 @@ class ClusteringConfig:
 
 @dataclass(eq=False)
 class CandidateSet:
-    """K candidate lanes with their coefficient vectors.
+    """K candidate lanes stacked as xs (K, N) and top_index (K,), with their coefficients.
 
-    For clustered sets each lane is exactly the reconstruction of its
+    For clustered sets each row of xs is exactly the reconstruction of its
     coefficient vector. Straight-anchor sets keep their true straight
     geometry and carry best-effort projected coefficients instead (used as
-    the origin for coefficient-space refinement). The lanes are also kept
-    stacked as xs (K, N) and top_index (K,).
+    the origin for coefficient-space refinement).
     """
 
-    lanes: list[Lane]
+    xs: np.ndarray
+    top_index: np.ndarray
+    grid: SamplingGrid
     coefficients: np.ndarray
     basis_id: str
-    xs: np.ndarray = field(init=False, repr=False)
-    top_index: np.ndarray = field(init=False, repr=False)
     _span_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.lanes:
-            raise ValidationError("candidate set cannot be empty")
-        self.xs, self.top_index = stack_lanes(self.lanes, self.lanes[0].grid)
-        self.xs.setflags(write=False)
-        self.top_index.setflags(write=False)
+        self.xs, self.top_index = lane_arrays(self.xs, self.top_index, self.grid)
+        if self.top_index.ndim != 1 or self.top_index.size == 0:
+            raise ValidationError("candidate set must be a non-empty (k, N) stack")
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] != len(self.lanes):
+        if coeffs.ndim != 2 or coeffs.shape[0] != self.k:
             raise ValidationError("coefficients must be (k, m)")
         coeffs.setflags(write=False)
         self.coefficients = coeffs
 
     @property
     def k(self) -> int:
-        return len(self.lanes)
+        return int(self.xs.shape[0])
 
     @property
-    def grid(self) -> SamplingGrid:
-        return self.lanes[0].grid
+    def lanes(self) -> list[Lane]:
+        """The candidates as Lane objects, built anew on every read."""
+        return [Lane(xs, top, self.grid) for xs, top in zip(self.xs, self.top_index)]
 
     def stripe_span_arrays(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Cached (k, image_height) stripe span stacks for batch IoU."""
@@ -192,8 +191,10 @@ def cluster_lanes(
     centroids, _, _ = lloyd_kmeans(
         coeffs, config.k, config.seed, config.max_iters, config.tolerance
     )
-    candidate_lanes = [reconstruct(basis, c) for c in centroids]
-    return CandidateSet(candidate_lanes, centroids, basis.content_id)
+    # one u @ c per centroid, exactly as reconstruct computes it
+    xs = np.array([basis.u @ c for c in centroids])
+    top_index = np.full(len(xs), basis.grid.n_samples)
+    return CandidateSet(xs, top_index, basis.grid, centroids, basis.content_id)
 
 
 def straight_anchor_grid(basis: EigenBasis, n: int, max_angle_deg: float = 75.0) -> CandidateSet:
@@ -217,21 +218,13 @@ def straight_anchor_grid(basis: EigenBasis, n: int, max_angle_deg: float = 75.0)
         angles = np.deg2rad(np.linspace(-max_angle_deg, max_angle_deg, n_angles))
     else:
         angles = np.array([0.0])
-    y0 = grid.y_coords[0]
-    rise = y0 - grid.y_coords  # >= 0, grows toward the top of the image
-    lanes = []
-    coeffs = []
-    for xb in positions:
-        for ang in angles:
-            if len(lanes) == n:
-                break
-            xs = xb + np.tan(ang) * rise
-            lane = Lane(xs, grid.n_samples, grid)
-            lanes.append(lane)
-            coeffs.append(basis.u.T @ xs)
-        if len(lanes) == n:
-            break
-    return CandidateSet(lanes, np.array(coeffs), basis.content_id)
+    rise = grid.y_coords[0] - grid.y_coords  # >= 0, grows toward the top of the image
+    # row-major over (position, angle), truncated to n
+    slopes = np.tan(angles)[:, None] * rise
+    xs = (positions[:, None, None] + slopes).reshape(-1, grid.n_samples)[:n]
+    coeffs = np.array([basis.u.T @ row for row in xs])
+    top_index = np.full(n, grid.n_samples)
+    return CandidateSet(xs, top_index, grid, coeffs, basis.content_id)
 
 
 def mean_best_iou(

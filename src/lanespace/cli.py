@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .candidates import ClusteringConfig, cluster_lanes, mean_best_iou, straight_anchor_grid
 from .datasets import load_dataset, write_csv, write_tusimple_jsonl
-from .eigenspace import LaneMatrix, build_basis
+from .eigenspace import LaneMatrix, build_basis, low_rank_residual
 from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError, read_text
 from .geometry import SamplingGrid, stripe_iou, stripe_iou_pixelcount
 from .metrics import f_measure, match_lanes, tusimple_score
@@ -255,8 +255,7 @@ def approx(data, basis_path, ranks, out, fmt):
             raise SchemaError(f"ranks must lie in [1, {basis.m}]")
     rows = []
     for r in rank_list:
-        u_r = basis.u[:, :r]
-        residual = matrix.columns - u_r @ (u_r.T @ matrix.columns)
+        residual = low_rank_residual(matrix.columns, basis.u[:, :r])
         total = float(np.sum(residual**2))
         per_lane_rms = float(
             np.mean(np.sqrt(np.sum(residual**2, axis=0) / matrix.grid.n_samples))
@@ -331,9 +330,9 @@ def eval_candidates(candidates_path, data, stripe_width, iou_mode, fmt):
     if iou_mode == "interval":
         score = mean_best_iou(candidates, test_lanes, stripe_width)
     else:
-        iou_fn = stripe_iou_pixelcount
+        cands = candidates.lanes
         best = [
-            max(iou_fn(lane, cand, stripe_width) for cand in candidates.lanes)
+            max(stripe_iou_pixelcount(lane, cand, stripe_width) for cand in cands)
             for lane in test_lanes
         ]
         score = float(np.mean(best))

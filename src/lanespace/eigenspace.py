@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, RankDeficient, ValidationError
-from .geometry import Lane, SamplingGrid
+from .geometry import Lane, SamplingGrid, stack_lanes
 
 # Relative singular-value cutoff defining the numerical rank.
 RANK_CUTOFF = 1e-12
@@ -51,10 +51,8 @@ class LaneMatrix:
         if not lanes:
             raise ValidationError("need at least one lane")
         grid = lanes[0].grid
-        for lane in lanes[1:]:
-            if lane.grid != grid:
-                raise GridMismatch("all lanes must share one sampling grid")
-        return cls(np.column_stack([lane.xs for lane in lanes]), grid)
+        xs, _ = stack_lanes(lanes, grid)
+        return cls(np.ascontiguousarray(xs.T), grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +164,13 @@ def approximation_error(matrix: LaneMatrix, basis: EigenBasis) -> float:
     """
     if matrix.grid != basis.grid:
         raise GridMismatch("matrix and basis use different grids")
-    coeffs = basis.u.T @ matrix.columns
-    residual = matrix.columns - basis.u @ coeffs
+    residual = low_rank_residual(matrix.columns, basis.u)
     return float(np.sum(residual * residual))
+
+
+def low_rank_residual(columns: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """columns minus their projection onto the orthonormal columns of u."""
+    return columns - u @ (u.T @ columns)
 
 
 def trailing_energy(basis: EigenBasis, m: int | None = None) -> float:

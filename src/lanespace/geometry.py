@@ -87,6 +87,27 @@ class SamplingGrid:
         return hash((self.image_width, self.image_height, self.y_coords.tobytes()))
 
 
+def lane_arrays(xs, top_index, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Checked read-only float64 xs and int64 top_index of one lane or a stack.
+
+    xs must have shape top_index.shape + (N,): (N,) with a scalar top_index
+    for one lane, (K, N) with a (K,) top_index for a stack. Every xs value
+    must be finite and every top_index must lie in [0, N].
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    top_index = np.asarray(top_index)
+    if xs.shape != top_index.shape + (grid.n_samples,):
+        raise ValidationError("xs length must equal grid.n_samples")
+    if not np.isfinite(xs).all():
+        raise ValidationError("lane coordinates must be finite")
+    if not ((0 <= top_index) & (top_index <= grid.n_samples)).all():
+        raise ValidationError("top_index out of range")
+    top_index = top_index.astype(np.int64)
+    xs.setflags(write=False)
+    top_index.setflags(write=False)
+    return xs, top_index
+
+
 @dataclass(frozen=True, eq=False)
 class Lane:
     """One lane sampled on a grid.
@@ -101,20 +122,9 @@ class Lane:
     grid: SamplingGrid
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        if xs.shape != (self.grid.n_samples,):
-            raise ValidationError("xs length must equal grid.n_samples")
-        if not np.all(np.isfinite(xs)):
-            raise ValidationError("lane coordinates must be finite")
-        if not 0 <= self.top_index <= self.grid.n_samples:
-            raise ValidationError("top_index out of range")
-        xs.setflags(write=False)
+        xs, top_index = lane_arrays(self.xs, self.top_index, self.grid)
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "top_index", int(self.top_index))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.top_index == 0
+        object.__setattr__(self, "top_index", int(top_index))
 
     def valid_points(self) -> np.ndarray:
         """Annotated (x, y) pairs, bottom first, shape (top_index, 2)."""

@@ -94,6 +94,22 @@ def _max_bipartite_matching(edges: np.ndarray) -> int:
     return size
 
 
+def _greedy_pairs(score: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy one-to-one (row, column) pairs over the allowed cells of score.
+
+    Cells are taken in descending score order, ties to the lowest row and
+    then the lowest column; a cell whose row or column is used is skipped.
+    """
+    cells = sorted(np.argwhere(allowed).tolist(), key=lambda c: (-score[c[0], c[1]], *c))
+    rows, cols, pairs = set(), set(), []
+    for i, j in cells:
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
 def match_lanes(
     predictions,
     ground_truth,
@@ -123,24 +139,10 @@ def match_lanes(
         for i in range(n_pred):
             ious[i] = batch_iou_one_vs_many((starts[i], ends[i]), gt_spans)
 
-    above = [
-        (ious[i, j], i, j)
-        for i in range(n_pred)
-        for j in range(n_gt)
-        if ious[i, j] > iou_threshold
-    ]
-    above.sort(key=lambda t: (-t[0], t[1], t[2]))
-    pred_used = [False] * n_pred
-    gt_used = [False] * n_gt
-    pairs = []
-    for iou, i, j in above:
-        if not pred_used[i] and not gt_used[j]:
-            pred_used[i] = True
-            gt_used[j] = True
-            pairs.append((i, j, float(iou)))
-
+    above = ious > iou_threshold
+    pairs = [(i, j, float(ious[i, j])) for i, j in _greedy_pairs(ious, above)]
     tp = len(pairs)
-    optimal = _max_bipartite_matching(ious > iou_threshold) if above else 0
+    optimal = _max_bipartite_matching(above)
     return ImageMatch(
         image_id=image_id,
         tp=tp,
@@ -228,32 +230,12 @@ def tusimple_score(
                 correct[i, j] = c
                 acc[i, j] = c / n if n else 0.0
 
-        order = [
-            (acc[i, j], i, j) for i in range(n_pred) for j in range(n_gt)
-        ]
-        order.sort(key=lambda t: (-t[0], t[1], t[2]))
-        pred_used = [False] * n_pred
-        gt_used = [False] * n_gt
-        matches = {}
-        for _, i, j in order:
-            if not pred_used[i] and not gt_used[j]:
-                pred_used[i] = True
-                gt_used[j] = True
-                matches[j] = i
-
-        img_correct = 0
-        img_missed = 0
-        hit_preds = set()
-        for j in range(n_gt):
-            i = matches.get(j)
-            if i is not None:
-                img_correct += int(correct[i, j])
-            if i is not None and acc[i, j] >= lane_accuracy_floor:
-                hit_preds.add(i)
-            else:
-                img_missed += 1
+        pairs = _greedy_pairs(acc, np.ones(acc.shape, dtype=bool))
+        hits = sum(1 for i, j in pairs if acc[i, j] >= lane_accuracy_floor)
+        img_correct = sum(int(correct[i, j]) for i, j in pairs)
+        img_missed = n_gt - hits
         img_points = int(points.sum())
-        img_false = n_pred - len(hit_preds)
+        img_false = n_pred - hits
 
         per_image.append(
             ImagePointAccuracy(

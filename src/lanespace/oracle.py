@@ -28,7 +28,6 @@ from .eigenspace import EigenBasis, project
 from .errors import GridMismatch, ValidationError
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
-    Lane,
     batch_iou_one_vs_many,
     stack_lanes,
     stripe_spans,
@@ -54,9 +53,8 @@ class OracleConfig:
             raise ValidationError("noise_sigma must be non-negative")
 
 
-def _geometry_summary(lane: Lane, grid) -> np.ndarray:
+def _geometry_summary(xs: np.ndarray, grid) -> np.ndarray:
     w = grid.image_width
-    xs = lane.xs
     return np.array(
         [
             xs[0] / w - 0.5,
@@ -128,9 +126,7 @@ def oracle_scores(
         unit = c / norm if norm > 0 else c
         features[i, 0] = 0.6 + 0.4 * best_iou[i]
         features[i, 1 : 1 + m] = GEOMETRY_SCALE * unit
-        features[i, 1 + m :] = GEOMETRY_SCALE * _geometry_summary(
-            candidates.lanes[i], grid
-        )
+        features[i, 1 + m :] = GEOMETRY_SCALE * _geometry_summary(candidates.xs[i], grid)
 
     scores = CandidateScores(probabilities, height_dist, offsets)
     return scores, features

@@ -25,14 +25,20 @@ SCHEMA_VERSION = 1
 
 
 def _require(obj: dict, key: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a JSON object with key '{key}', found {type(obj).__name__}")
     if key not in obj:
         raise SchemaError(f"missing key '{key}'")
     return obj[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON list, found {type(value).__name__}")
+    return value
+
+
 def _check_header(obj: dict, kind: str):
-    if not isinstance(obj, dict):
-        raise SchemaError("expected a JSON object")
     version = _require(obj, "schema_version")
     if version != SCHEMA_VERSION:
         raise VersionError(f"schema_version {version} unsupported (want {SCHEMA_VERSION})")
@@ -174,13 +180,13 @@ def load_candidates(path) -> CandidateSet:
     grid = _grid_from_obj(_require(obj, "grid"))
     coeffs = _decode_array(_require(obj, "coefficients"), expected_ndim=2)
     xs = _decode_array(_require(obj, "lanes"), expected_ndim=2)
-    tops = _require(obj, "top_indices")
+    tops = _list(_require(obj, "top_indices"), "top_indices")
     if xs.shape[0] != _require(obj, "k") or len(tops) != xs.shape[0]:
         raise SchemaError("candidate count disagreement")
     if xs.shape[1] != grid.n_samples:
         raise SchemaError("candidate lane length does not match grid")
-    lanes = [Lane(row, _int(top, "top_indices"), grid) for row, top in zip(xs, tops)]
-    return CandidateSet(lanes, coeffs, str(_require(obj, "basis_id")))
+    top_index = np.array([_int(top, "top_indices") for top in tops])
+    return CandidateSet(xs, top_index, grid, coeffs, str(_require(obj, "basis_id")))
 
 
 def save_image_scores(entries, path):
@@ -250,12 +256,15 @@ def load_detections(path, grid: SamplingGrid):
     out = []
     for obj in _read_lines(path, "detections"):
         lanes = []
-        for lane_obj in _require(obj, "lanes"):
+        for lane_obj in _list(_require(obj, "lanes"), "detection lanes"):
             xs = _floats(_require(lane_obj, "xs"), "detection xs")
             if xs.size != grid.n_samples:
                 raise SchemaError("detection lane length does not match grid")
             lanes.append(Lane(xs, _int(_require(lane_obj, "top_index"), "top_index"), grid))
-        out.append((str(_require(obj, "image_id")), lanes, obj.get("compatibility", 0.0)))
+        compatibility = obj.get("compatibility", 0.0)
+        if type(compatibility) not in (int, float) or not math.isfinite(compatibility):
+            raise SchemaError(f"compatibility must be a finite number, found {compatibility!r}")
+        out.append((str(_require(obj, "image_id")), lanes, compatibility))
     return out
 
 

@@ -38,6 +38,7 @@ from lanespace import (
     tusimple_score,
     uniform_height_grid,
 )
+from lanespace.geometry import stack_lanes
 from test_pipeline import brute_force_mwcs, greedy_nms_oracle, scores_for
 
 N_SAMPLES = 50
@@ -196,7 +197,7 @@ def test_criterion_6_nms_contract(basis, grid):
             )
             for _ in range(n)
         ]
-        cands = CandidateSet(lanes, np.zeros((n, basis.m)), basis.content_id)
+        cands = CandidateSet(*stack_lanes(lanes, grid), grid, np.zeros((n, basis.m)), basis.content_id)
         probs = rng.uniform(size=n)
         threshold = float(rng.uniform(0.2, 0.8))
         picks = nms_select(

@@ -11,6 +11,7 @@ from lanespace import (
     LaneMatrix,
     SamplingGrid,
     TooManyClusters,
+    ValidationError,
     cluster_lanes,
     lloyd_kmeans,
     mean_best_iou,
@@ -95,8 +96,9 @@ class TestLloydKmeans:
 
 class TestClusterLanes:
     def test_candidate_set_consistency(self, basis, candidates):
-        for lane, c in zip(candidates.lanes, candidates.coefficients):
-            assert np.allclose(lane.xs, reconstruct(basis, c).xs, atol=1e-9)
+        for xs, c in zip(candidates.xs, candidates.coefficients):
+            assert np.array_equal(xs, reconstruct(basis, c).xs)
+        assert np.array_equal(candidates.top_index, np.full(candidates.k, basis.grid.n_samples))
         assert candidates.basis_id == basis.content_id
 
     def test_eigen_and_lane_space_clustering_agree(self, basis, train_lanes):
@@ -120,7 +122,44 @@ class TestClusterLanes:
             cluster_lanes(basis, train_lanes, ClusteringConfig(k=k, seed=seed))
 
 
+def loop_straight_anchor_grid(basis, n, max_angle_deg=75.0):
+    """Reference: the per-lane double loop that straight_anchor_grid once ran."""
+    grid = basis.grid
+    n_angles = max(1, int(round(np.sqrt(n))))
+    n_pos = -(-n // n_angles)
+    if n_pos > 1:
+        positions = np.linspace(0.0, grid.image_width - 1.0, n_pos)
+    else:
+        positions = np.array([grid.image_width / 2.0])
+    if n_angles > 1:
+        angles = np.deg2rad(np.linspace(-max_angle_deg, max_angle_deg, n_angles))
+    else:
+        angles = np.array([0.0])
+    y0 = grid.y_coords[0]
+    rise = y0 - grid.y_coords
+    rows = []
+    coeffs = []
+    for xb in positions:
+        for ang in angles:
+            if len(rows) == n:
+                break
+            xs = xb + np.tan(ang) * rise
+            rows.append(xs)
+            coeffs.append(basis.u.T @ xs)
+        if len(rows) == n:
+            break
+    return np.array(rows), np.full(n, grid.n_samples), np.array(coeffs)
+
+
 class TestStraightAnchors:
+    @pytest.mark.parametrize("n", [1, 2, 7, 137, 10000])
+    def test_matches_per_lane_loop(self, basis, n):
+        anchors = straight_anchor_grid(basis, n)
+        xs, top_index, coeffs = loop_straight_anchor_grid(basis, n)
+        assert np.array_equal(anchors.xs, xs)
+        assert np.array_equal(anchors.top_index, top_index)
+        assert np.array_equal(anchors.coefficients, coeffs)
+
     def test_single_anchor_is_vertical_center(self, basis):
         anchors = straight_anchor_grid(basis, 1)
         assert anchors.k == 1
@@ -139,6 +178,41 @@ class TestStraightAnchors:
         assert anchors.coefficients.shape == (25, basis.m)
         for lane, c in zip(anchors.lanes, anchors.coefficients):
             assert np.allclose(c, basis.u.T @ lane.xs, atol=1e-9)
+
+
+# name -> edit of a valid (xs, top_index, coefficients) stack that makes it invalid
+BAD_STACKS = {
+    "empty": lambda xs, top, coeffs: (xs[:0], top[:0], coeffs[:0]),
+    "row-length": lambda xs, top, coeffs: (xs[:, :-1], top, coeffs),
+    "nan": lambda xs, top, coeffs: (np.where(np.eye(*xs.shape) > 0, np.nan, xs), top, coeffs),
+    "top-index-minus-1": lambda xs, top, coeffs: (xs, np.r_[-1, top[1:]], coeffs),
+    "top-index-n-plus-1": lambda xs, top, coeffs: (xs, np.r_[xs.shape[1] + 1, top[1:]], coeffs),
+    "coefficient-rows": lambda xs, top, coeffs: (xs, top, coeffs[1:]),
+}
+
+
+class TestCandidateSetChecks:
+    def test_lanes_view_matches_arrays(self, candidates):
+        lanes = candidates.lanes
+        assert len(lanes) == candidates.k
+        for i, lane in enumerate(lanes):
+            assert lane.grid == candidates.grid
+            assert np.array_equal(lane.xs, candidates.xs[i])
+            assert lane.top_index == candidates.top_index[i]
+
+    def test_arrays_are_read_only(self, candidates):
+        for arr in (candidates.xs, candidates.top_index, candidates.coefficients):
+            assert not arr.flags.writeable
+        assert candidates.xs.dtype == np.float64
+        assert candidates.top_index.dtype == np.int64
+
+    @pytest.mark.parametrize("name", list(BAD_STACKS))
+    def test_invalid_stack_rejected(self, candidates, name):
+        xs, top, coeffs = BAD_STACKS[name](
+            candidates.xs, candidates.top_index, candidates.coefficients
+        )
+        with pytest.raises(ValidationError):
+            CandidateSet(xs, top, candidates.grid, coeffs, candidates.basis_id)
 
 
 class TestMeanBestIou:
@@ -177,6 +251,10 @@ class TestMeanBestIou:
     def test_monotone_when_candidates_added(self, basis, candidates, train_lanes):
         test = train_lanes[10:30]
         fewer = CandidateSet(
-            candidates.lanes[:15], candidates.coefficients[:15], candidates.basis_id
+            candidates.xs[:15],
+            candidates.top_index[:15],
+            candidates.grid,
+            candidates.coefficients[:15],
+            candidates.basis_id,
         )
         assert mean_best_iou(candidates, test, 30) >= mean_best_iou(fewer, test, 30)

@@ -295,6 +295,23 @@ BAD_INPUTS = {
             ws, tmp, lambda obj: obj["grid"].update(image_width="x")), 2),
     "detections-top-index-2.7": (lambda ws, tmp: _eval(ws, tmp, _set_top(2.7)), 2),
     "detections-top-index-a": (lambda ws, tmp: _eval(ws, tmp, _set_top("a")), 2),
+    "candidates-top-index-51": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["top_indices"].__setitem__(0, 51)), 2),
+    "candidates-top-index--1": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["top_indices"].__setitem__(0, -1)), 2),
+    "candidates-top-indices-int": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj.update(top_indices=5)), 2),
+    "candidates-grid-int": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj.update(grid=3)), 2),
+    "detections-lanes-int": (lambda ws, tmp: _eval(ws, tmp, lambda obj: obj.update(lanes=3)), 2),
+    "detections-lane-entry-int": (
+        lambda ws, tmp: _eval(ws, tmp, lambda obj: obj["lanes"].__setitem__(0, 3)), 2),
+    "detections-compatibility-nan": (
+        lambda ws, tmp: _eval(ws, tmp, lambda obj: obj.update(compatibility=float("nan"))), 2),
+    "detections-compatibility-x": (
+        lambda ws, tmp: _eval(ws, tmp, lambda obj: obj.update(compatibility="x")), 2),
     "dataset-string-coordinates": (
         lambda ws, tmp: ["build-basis", "-d", str(tmp / "strings.jsonl"),
                          "-o", str(tmp / "b.json")], 2),

@@ -21,6 +21,7 @@ from lanespace import (
     stripe_iou,
     uniform_height_grid,
 )
+from lanespace.geometry import stack_lanes
 from lanespace.pipeline import MAX_CLIQUE_NODES
 
 
@@ -109,18 +110,20 @@ def scores_for(candidates, probs, heights_bins=5, offsets=None):
 
 
 class TestNmsSelect:
-    def test_orders_by_probability(self, basis, make_vertical):
+    def test_orders_by_probability(self, basis, grid, make_vertical):
         lanes = [make_vertical(x) for x in (100.0, 400.0, 700.0)]
         cands = CandidateSet(
-            lanes, np.zeros((3, basis.m)), basis.content_id
+            *stack_lanes(lanes, grid), grid, np.zeros((3, basis.m)), basis.content_id
         )
         picks = nms_select(cands, scores_for(cands, [0.9, 0.1, 0.1]), t=2)
         assert picks[0] == 0
         assert picks[1] == 1  # tie at 0.1 resolves to the lower index
 
-    def test_duplicate_suppressed(self, basis, make_vertical):
+    def test_duplicate_suppressed(self, basis, grid, make_vertical):
         lanes = [make_vertical(250.0), make_vertical(250.0)]
-        cands = CandidateSet(lanes, np.zeros((2, basis.m)), basis.content_id)
+        cands = CandidateSet(
+            *stack_lanes(lanes, grid), grid, np.zeros((2, basis.m)), basis.content_id
+        )
         picks = nms_select(cands, scores_for(cands, [0.9, 0.8]), t=2, iou_threshold=0.5)
         assert picks == [0]
 
@@ -136,7 +139,9 @@ class TestNmsSelect:
                 )
                 for _ in range(20)
             ]
-            cands = CandidateSet(lanes, np.zeros((20, basis.m)), basis.content_id)
+            cands = CandidateSet(
+                *stack_lanes(lanes, grid), grid, np.zeros((20, basis.m)), basis.content_id
+            )
             probs = rng.uniform(size=20)
             iou = [
                 [stripe_iou(a, b, 30) for b in lanes] for a in lanes
@@ -152,16 +157,20 @@ class TestNmsSelect:
             Lane(rng.uniform(60, 1220) + rng.uniform(-0.5, 0.5) * rise, grid.n_samples, grid)
             for _ in range(30)
         ]
-        cands = CandidateSet(lanes, np.zeros((30, basis.m)), basis.content_id)
+        cands = CandidateSet(
+            *stack_lanes(lanes, grid), grid, np.zeros((30, basis.m)), basis.content_id
+        )
         picks = nms_select(cands, scores_for(cands, rng.uniform(size=30)), t=10,
                            iou_threshold=0.4)
         assert len(picks) <= 10
         for a, b in itertools.combinations(picks, 2):
             assert stripe_iou(lanes[a], lanes[b], 30) <= 0.4
 
-    def test_min_probability_stops_early(self, basis, make_vertical):
+    def test_min_probability_stops_early(self, basis, grid, make_vertical):
         lanes = [make_vertical(x) for x in (100.0, 400.0, 700.0)]
-        cands = CandidateSet(lanes, np.zeros((3, basis.m)), basis.content_id)
+        cands = CandidateSet(
+            *stack_lanes(lanes, grid), grid, np.zeros((3, basis.m)), basis.content_id
+        )
         picks = nms_select(
             cands, scores_for(cands, [0.9, 0.45, 0.2]), t=3, min_probability=0.5
         )
