@@ -26,21 +26,19 @@ from .geometry import (
     stripe_spans,
 )
 
+MAX_ITERS = 100  # Lloyd iterations
+TOLERANCE = 1e-6  # centroid shift that ends the iterations, pixels
+MAX_ANCHOR_ANGLE_DEG = 75.0  # straight anchors span +-this angle from vertical
+
 
 @dataclass(frozen=True)
 class ClusteringConfig:
     k: int
-    max_iters: int = 100
-    tolerance: float = 1e-6  # centroid shift, pixels
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
 
 
 @dataclass(eq=False)
@@ -120,11 +118,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def lloyd_kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 100,
-    tolerance: float = 1e-6,
+    points: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ plus Lloyd iterations on raw points.
 
@@ -143,7 +137,7 @@ def lloyd_kmeans(
     centroids = _kmeans_plus_plus(points, k, rng)
     labels = _assign(points, centroids)
     prev_objective = np.inf
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         # update step
         new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
@@ -171,7 +165,7 @@ def lloyd_kmeans(
             "k-means objective increased"
         )
         prev_objective = objective
-        if shift < tolerance:
+        if shift < TOLERANCE:
             break
     inertia = float(np.sum((points - centroids[labels]) ** 2))
     return centroids, labels, inertia
@@ -188,22 +182,21 @@ def cluster_lanes(
     if matrix.grid != basis.grid:
         raise GridMismatch("lanes and basis use different grids")
     coeffs = project_columns(basis, matrix)
-    centroids, _, _ = lloyd_kmeans(
-        coeffs, config.k, config.seed, config.max_iters, config.tolerance
-    )
+    centroids, _, _ = lloyd_kmeans(coeffs, config.k, config.seed)
     # one u @ c per centroid, exactly as reconstruct computes it
     xs = np.array([basis.u @ c for c in centroids])
     top_index = np.full(len(xs), basis.grid.n_samples)
     return CandidateSet(xs, top_index, basis.grid, centroids, basis.content_id)
 
 
-def straight_anchor_grid(basis: EigenBasis, n: int, max_angle_deg: float = 75.0) -> CandidateSet:
+def straight_anchor_grid(basis: EigenBasis, n: int) -> CandidateSet:
     """Baseline candidate set of n straight lanes.
 
     Lanes are enumerated row-major over a uniform product of bottom-intercept
-    positions and slope angles spanning +-max_angle_deg from vertical. The
-    enumeration is a stand-in for straight-anchor schemes from anchor-based
-    detectors; no canonical layout exists, so the grid is kept simple.
+    positions and slope angles spanning +-MAX_ANCHOR_ANGLE_DEG from vertical.
+    The enumeration is a stand-in for straight-anchor schemes from
+    anchor-based detectors; no canonical layout exists, so the grid is kept
+    simple.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -215,7 +208,7 @@ def straight_anchor_grid(basis: EigenBasis, n: int, max_angle_deg: float = 75.0)
     else:
         positions = np.array([grid.image_width / 2.0])
     if n_angles > 1:
-        angles = np.deg2rad(np.linspace(-max_angle_deg, max_angle_deg, n_angles))
+        angles = np.deg2rad(np.linspace(-MAX_ANCHOR_ANGLE_DEG, MAX_ANCHOR_ANGLE_DEG, n_angles))
     else:
         angles = np.array([0.0])
     rise = grid.y_coords[0] - grid.y_coords  # >= 0, grows toward the top of the image

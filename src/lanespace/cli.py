@@ -31,7 +31,7 @@ from .candidates import ClusteringConfig, cluster_lanes, mean_best_iou, straight
 from .datasets import load_dataset, write_csv, write_tusimple_jsonl
 from .eigenspace import LaneMatrix, build_basis, low_rank_residual
 from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError, read_text
-from .geometry import SamplingGrid, stripe_iou, stripe_iou_pixelcount
+from .geometry import Lane, SamplingGrid, stripe_iou, stripe_iou_pixelcount
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
 from .pipeline import DetectionConfig, detect_image, uniform_height_grid
@@ -62,10 +62,10 @@ FLAGS = {
     "samples": _flag("--samples", type=int, default=50, help="grid rows per lane vector"),
     "rank": _flag("--rank", type=int, default=6),
     "k": _flag("--k", type=int, default=1000),
-    "t": _flag("--t", type=int, default=10),
-    "iou_thresh": _flag("--iou-thresh", type=float, default=0.5),
-    "kappa": _flag("--kappa", type=float, default=0.3),
-    "stripe_width": _flag("--stripe-width", type=int, default=30),
+    "t": _flag("--t", type=int, default=DetectionConfig.t),
+    "iou_thresh": _flag("--iou-thresh", type=float, default=DetectionConfig.iou_threshold),
+    "kappa": _flag("--kappa", type=float, default=DetectionConfig.kappa),
+    "stripe_width": _flag("--stripe-width", type=int, default=DetectionConfig.stripe_width),
     "seed": _flag("--seed", type=click.IntRange(min=0), default=0),
     "format": _flag(
         "--format", "fmt", type=click.Choice(["tusimple", "csv", "culane"]), default="tusimple"
@@ -344,7 +344,7 @@ def eval_candidates(candidates_path, data, stripe_width, iou_mode, fmt):
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("-d", "--data", required=True, type=click.Path())
 @FLAGS["heights"]
-@click.option("--noise-sigma", type=float, default=0.0, show_default=True)
+@click.option("--noise-sigma", type=float, default=OracleConfig.noise_sigma, show_default=True)
 @click.option("--iou-floor", type=float, default=OracleConfig.iou_floor, show_default=True)
 @FLAGS["seed"]
 @FLAGS["stripe_width"]
@@ -475,7 +475,7 @@ def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out,
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("-p", "--pred", "pred_path", type=click.Path(), default=None)
 @click.option("-c", "--candidates", "candidates_path", type=click.Path(), default=None)
-@click.option("--max-candidates", type=int, default=40, show_default=True)
+@click.option("--max-candidates", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("-o", "--out", required=True, type=click.Path())
 @config_option
 @FLAGS["format"]
@@ -486,7 +486,10 @@ def render(data, image_id, basis_path, pred_path, candidates_path, max_candidate
     layers = []
     if candidates_path is not None:
         candidates = load_candidates(candidates_path)
-        shown = candidates.lanes[: max_candidates]
+        shown = [
+            Lane(xs, top, candidates.grid)
+            for xs, top in zip(candidates.xs[:max_candidates], candidates.top_index)
+        ]
         layers.append(LaneLayer("candidates", shown, "#3a4750", stroke_width=1.0))
     layers.append(LaneLayer("ground truth", record.resampled(grid), DEFAULT_COLORS[0]))
     if pred_path is not None:

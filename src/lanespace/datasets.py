@@ -81,6 +81,9 @@ def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
     for key in ("lanes", "h_samples", "raw_file"):
         if key not in obj:
             raise SchemaError(f"line {line_number}: missing key '{key}'")
+    for key in ("lanes", "h_samples"):
+        if not isinstance(obj[key], list):
+            raise SchemaError(f"line {line_number}: '{key}' must be a JSON list")
     h_samples = _numbers(obj["h_samples"], line_number)
     polylines = []
     skipped = 0

@@ -49,29 +49,15 @@ class SamplingGrid:
         return int(self.y_coords.size)
 
     @classmethod
-    def uniform(
-        cls,
-        image_width: int,
-        image_height: int,
-        n_samples: int,
-        y_bottom: float | None = None,
-        y_top: float | None = None,
-    ) -> "SamplingGrid":
-        """Uniformly spaced grid from y_bottom down to y_top.
+    def uniform(cls, image_width: int, image_height: int, n_samples: int) -> "SamplingGrid":
+        """n_samples evenly spaced rows from the bottom row up to 0.35 * image_height.
 
-        Defaults cover the lower two thirds of the image, which is where
-        road surface normally sits.
+        The ladder covers the lower two thirds of the image, which is where
+        road surface normally sits; other ladders come from the constructor.
         """
         if n_samples < 1:
             raise ValidationError("n_samples must be positive")
-        if y_bottom is None:
-            y_bottom = image_height - 1.0
-        if y_top is None:
-            y_top = 0.35 * image_height
-        if n_samples == 1:
-            ys = np.array([float(y_bottom)])
-        else:
-            ys = np.linspace(float(y_bottom), float(y_top), n_samples)
+        ys = np.linspace(image_height - 1.0, 0.35 * image_height, n_samples)
         return cls(image_width, image_height, ys)
 
     def __eq__(self, other) -> bool:

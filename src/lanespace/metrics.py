@@ -170,36 +170,31 @@ def f_measure(reports) -> MatchReport:
     return MatchReport(tp, fp, fn, precision, recall, f, reports)
 
 
-def _lane_point_accuracy(pred: Lane, gt: Lane, distance_threshold: float) -> tuple[int, int]:
+def _lane_point_accuracy(pred: Lane, gt: Lane) -> tuple[int, int]:
     """(correct points, total gt points) for one prediction/gt pair.
 
     A ground-truth point counts as correct when the prediction covers its
     row (the row is inside the prediction's annotated extent) and the
-    horizontal distance is strictly below the threshold.
+    horizontal distance is strictly below TUSIMPLE_POINT_THRESHOLD.
     """
     n_points = gt.top_index
     if n_points == 0:
         return 0, 0
     k = min(pred.top_index, n_points)
     diffs = np.abs(pred.xs[:k] - gt.xs[:k])
-    return int(np.count_nonzero(diffs < distance_threshold)), n_points
+    return int(np.count_nonzero(diffs < TUSIMPLE_POINT_THRESHOLD)), n_points
 
 
-def tusimple_score(
-    predictions,
-    ground_truth,
-    distance_threshold: float = TUSIMPLE_POINT_THRESHOLD,
-    lane_accuracy_floor: float = TUSIMPLE_LANE_ACCURACY_FLOOR,
-    image_ids=None,
-) -> PointAccuracyReport:
+def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyReport:
     """Pointwise accuracy plus lane-level FPR / FNR over a list of images.
 
     predictions and ground_truth are parallel lists; element i holds the
     lanes of image i, all sampled on one shared grid. Within an image,
     lanes are matched greedily by per-lane point accuracy (descending, ties
     to the lowest prediction then ground-truth index). A predicted lane is
-    false when unmatched or when its accuracy falls below the floor; the
-    same rule marks the ground-truth lane missed.
+    false when unmatched or when its accuracy falls below
+    TUSIMPLE_LANE_ACCURACY_FLOOR; the same rule marks the ground-truth lane
+    missed.
     """
     predictions = [list(p) for p in predictions]
     ground_truth = [list(g) for g in ground_truth]
@@ -209,12 +204,6 @@ def tusimple_score(
         image_ids = [f"image_{i:05d}" for i in range(len(predictions))]
 
     per_image = []
-    total_correct = 0
-    total_points = 0
-    total_pred = 0
-    total_false = 0
-    total_gt = 0
-    total_missed = 0
     for image_id, preds, gts in zip(image_ids, predictions, ground_truth):
         lanes = preds + gts
         if lanes:
@@ -226,17 +215,14 @@ def tusimple_score(
         for j, gt in enumerate(gts):
             points[j] = gt.top_index
             for i, pred in enumerate(preds):
-                c, n = _lane_point_accuracy(pred, gt, distance_threshold)
+                c, n = _lane_point_accuracy(pred, gt)
                 correct[i, j] = c
                 acc[i, j] = c / n if n else 0.0
 
         pairs = _greedy_pairs(acc, np.ones(acc.shape, dtype=bool))
-        hits = sum(1 for i, j in pairs if acc[i, j] >= lane_accuracy_floor)
+        hits = sum(1 for i, j in pairs if acc[i, j] >= TUSIMPLE_LANE_ACCURACY_FLOOR)
         img_correct = sum(int(correct[i, j]) for i, j in pairs)
-        img_missed = n_gt - hits
         img_points = int(points.sum())
-        img_false = n_pred - hits
-
         per_image.append(
             ImagePointAccuracy(
                 image_id=image_id,
@@ -244,23 +230,21 @@ def tusimple_score(
                 n_gt_points=img_points,
                 accuracy=img_correct / img_points if img_points else 1.0,
                 n_pred=n_pred,
-                n_false_pred=img_false,
+                n_false_pred=n_pred - hits,
                 n_gt=n_gt,
-                n_missed=img_missed,
+                n_missed=n_gt - hits,
             )
         )
-        total_correct += img_correct
-        total_points += img_points
-        total_pred += n_pred
-        total_false += img_false
-        total_gt += n_gt
-        total_missed += img_missed
 
+    n_correct = sum(r.n_correct for r in per_image)
+    n_points = sum(r.n_gt_points for r in per_image)
+    n_pred = sum(r.n_pred for r in per_image)
+    n_gt = sum(r.n_gt for r in per_image)
     return PointAccuracyReport(
-        n_correct=total_correct,
-        n_gt_points=total_points,
-        accuracy=total_correct / total_points if total_points else 1.0,
-        fpr=total_false / total_pred if total_pred else 0.0,
-        fnr=total_missed / total_gt if total_gt else 0.0,
+        n_correct=n_correct,
+        n_gt_points=n_points,
+        accuracy=n_correct / n_points if n_points else 1.0,
+        fpr=sum(r.n_false_pred for r in per_image) / n_pred if n_pred else 0.0,
+        fnr=sum(r.n_missed for r in per_image) / n_gt if n_gt else 0.0,
         per_image=tuple(per_image),
     )

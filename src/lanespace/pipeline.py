@@ -103,6 +103,8 @@ def nms_select(
         raise ValidationError("t must be >= 1")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValidationError("iou_threshold must be in (0, 1]")
+    if min_probability is not None and not 0.0 <= min_probability <= 1.0:
+        raise ValidationError("min_probability must be in [0, 1]")
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
     starts, ends = candidates.stripe_span_arrays(width)

@@ -18,6 +18,13 @@ from .datasets import DatasetRecord
 from .errors import ValidationError
 
 FAMILIES = ("straight", "arc", "s_curve")
+MAX_LANES = 5
+SPACING_RANGE = (168.0, 182.0)  # pixels between neighbouring lane bottoms
+# fraction of image height, measured from the top, inside which lane ending
+# points fall; lanes always start at the bottom image row
+TOP_BAND = (0.35, 0.45)
+CENTER_JITTER = 60.0  # pixels the lane block's centre moves off the image axis
+POINT_STEP = 10.0  # pixel rows between annotated points
 
 
 @dataclass(frozen=True)
@@ -26,9 +33,7 @@ class SyntheticSpec:
 
     weights orders the family mix as (straight, arc, s_curve); curvature is
     sampled uniformly from curvature_range (1/pixels) for the curved
-    families. top_band is the fraction of image height, measured from the
-    top, inside which lane ending points fall; lanes always start at the
-    bottom image row.
+    families.
     """
 
     count: int
@@ -36,11 +41,6 @@ class SyntheticSpec:
     image_size: tuple[int, int] = (1280, 720)
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     curvature_range: tuple[float, float] = (1.8e-3, 3.5e-3)
-    max_lanes: int = 5
-    spacing_range: tuple[float, float] = (168.0, 182.0)
-    top_band: tuple[float, float] = (0.35, 0.45)
-    center_jitter: float = 60.0
-    point_step: float = 10.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -52,8 +52,6 @@ class SyntheticSpec:
         lo, hi = self.curvature_range
         if not (0 < lo <= hi) or not np.isfinite(hi):
             raise ValidationError("curvature_range must be finite and positive")
-        if not 1 <= self.max_lanes <= 5:
-            raise ValidationError("max_lanes must be in [1, 5]")
 
 
 def _straight_lanes(rng, spec, bottoms, y_tops):
@@ -62,7 +60,7 @@ def _straight_lanes(rng, spec, bottoms, y_tops):
     vy = rng.uniform(0.08 * h, 0.12 * h)
     lanes = []
     for xb, y_top in zip(bottoms, y_tops):
-        ys = np.arange(h - 1.0, y_top, -spec.point_step)
+        ys = np.arange(h - 1.0, y_top, -POINT_STEP)
         frac = (h - 1.0 - ys) / (h - 1.0 - vy)
         xs = xb + (vx - xb) * frac
         lanes.append(np.column_stack([xs, ys]))
@@ -80,7 +78,7 @@ def _arc_lanes(rng, spec, bottoms, y_tops):
     lanes = []
     for xb, y_top in zip(bottoms, y_tops):
         cx = xb - side * np.sqrt(radius**2 - (h - 1.0 - cy) ** 2)
-        ys = np.arange(h - 1.0, y_top, -spec.point_step)
+        ys = np.arange(h - 1.0, y_top, -POINT_STEP)
         xs = cx + side * np.sqrt(radius**2 - (ys - cy) ** 2)
         lanes.append(np.column_stack([xs, ys]))
     return lanes
@@ -125,19 +123,19 @@ def _make_record(rng, spec: SyntheticSpec, index: int) -> DatasetRecord:
     probs = probs / probs.sum()
     family = FAMILIES[int(rng.choice(3, p=probs))]
     for _ in range(60):
-        n_lanes = int(rng.integers(1, spec.max_lanes + 1))
-        spacing = rng.uniform(*spec.spacing_range)
+        n_lanes = int(rng.integers(1, MAX_LANES + 1))
+        spacing = rng.uniform(*SPACING_RANGE)
         block = spacing * (n_lanes - 1)
         margin = 40.0
         if block > w - 2 * margin:
             continue
         # lane blocks sit near the camera axis, the way an ego view does
-        center = w / 2.0 + rng.uniform(-spec.center_jitter, spec.center_jitter)
+        center = w / 2.0 + rng.uniform(-CENTER_JITTER, CENTER_JITTER)
         x0 = np.clip(center - block / 2.0, margin, w - margin - block)
         bottoms = x0 + spacing * np.arange(n_lanes) + rng.uniform(
             -5.0, 5.0, size=n_lanes
         )
-        lo, hi = spec.top_band
+        lo, hi = TOP_BAND
         y_tops = rng.uniform(lo * h, hi * h, size=n_lanes)
         lanes = _BUILDERS[family](rng, spec, bottoms, y_tops)
         if all(
@@ -153,7 +151,7 @@ def _make_record(rng, spec: SyntheticSpec, index: int) -> DatasetRecord:
                 category=family,
             )
     # fall back to a single safe vertical lane rather than loop forever
-    ys = np.arange(h - 1.0, 0.4 * h, -spec.point_step)
+    ys = np.arange(h - 1.0, 0.4 * h, -POINT_STEP)
     xs = np.full_like(ys, w / 2.0)
     return DatasetRecord(
         image_id=f"synth_{index:05d}",

@@ -21,7 +21,7 @@ def grid():
 @pytest.fixture(scope="session")
 def small_grid():
     # cheap grid for brute-force oracles
-    return SamplingGrid.uniform(200, 100, 8, y_bottom=99.0, y_top=20.0)
+    return SamplingGrid(200, 100, np.linspace(99.0, 20.0, 8))
 
 
 @pytest.fixture(scope="session")

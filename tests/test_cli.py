@@ -5,8 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from lanespace.cli import main
+from lanespace.datasets import write_tusimple_jsonl
 from lanespace.errors import ValidationError
-from lanespace.serialize import load_basis, load_candidates, load_detections
+from lanespace.serialize import load_basis, load_candidates, load_detections, load_image_scores
+from lanespace.synth import SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,14 @@ def _set_top(value):
     return lambda obj: obj["lanes"][0].update(top_index=value)
 
 
+def _build_basis_on_line(tmp_path, **fields):
+    """build-basis on a one-line TuSimple file whose fields are replaced by fields."""
+    obj = {"raw_file": "a", "h_samples": [700, 600], "lanes": [[5, 6]], **fields}
+    path = tmp_path / "edited.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    return ["build-basis", "-d", str(path), "-o", str(tmp_path / "b.json")]
+
+
 # name -> (args built from the workspace and tmp_path, expected exit code)
 BAD_INPUTS = {
     "detect-t-0": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "0"], 2),
@@ -318,6 +328,15 @@ BAD_INPUTS = {
     "render-empty-dataset": (
         lambda ws, tmp: ["render", "-d", str(tmp / "empty.jsonl"), "-b", str(ws["basis"]),
                          "-o", str(tmp / "r.svg")], 2),
+    "dataset-lanes-int": (lambda ws, tmp: _build_basis_on_line(tmp, lanes=3), 2),
+    "dataset-lanes-null": (lambda ws, tmp: _build_basis_on_line(tmp, lanes=None), 2),
+    "dataset-h-samples-null": (lambda ws, tmp: _build_basis_on_line(tmp, h_samples=None), 2),
+    "detect-min-prob-nan": (lambda ws, tmp: [*_detect(ws, tmp), "--min-prob", "nan"], 2),
+    "detect-min-prob-2": (lambda ws, tmp: [*_detect(ws, tmp), "--min-prob", "2"], 2),
+    "render-max-candidates--1": (
+        lambda ws, tmp: ["render", "-d", str(ws["test"]), "-b", str(ws["basis"]),
+                         "-c", str(ws["cands"]), "--max-candidates", "-1",
+                         "-o", str(tmp / "r.svg")], 2),
 }
 
 
@@ -342,6 +361,62 @@ class TestInputErrorsExitCleanly:
                   if line.startswith(("error:", "Error:"))]
         assert len(errors) == 1, result.output
         assert "Traceback" not in result.output
+
+
+class TestFlagsReachTheLibrary:
+    def test_weights_pick_the_families(self, runner, tmp_path):
+        out = tmp_path / "s.jsonl"
+        run_ok(runner, ["synth", "--count", "8", "--weights", "0,0,1", "-o", str(out)])
+        categories = [json.loads(line)["category"] for line in out.read_text().splitlines()]
+        assert categories == ["s_curve"] * 8
+
+    def test_curvature_sets_the_curvature_range(self, runner, tmp_path):
+        out = tmp_path / "s.jsonl"
+        plain = tmp_path / "plain.jsonl"
+        expected = tmp_path / "expected.jsonl"
+        args = ["synth", "--count", "6", "--seed", "2", "--weights", "0,1,0"]
+        run_ok(runner, [*args, "--curvature", "0.003,0.003", "-o", str(out)])
+        run_ok(runner, [*args, "-o", str(plain)])
+        spec = SyntheticSpec(count=6, seed=2, weights=(0.0, 1.0, 0.0),
+                             curvature_range=(0.003, 0.003))
+        write_tusimple_jsonl(generate_synthetic(spec), expected)
+        assert out.read_text() == expected.read_text()
+        assert out.read_text() != plain.read_text()
+
+    def test_noise_sigma_perturbs_only_probabilities(self, runner, workspace, tmp_path):
+        run_ok(runner, [*_score(workspace, tmp_path), "--noise-sigma", "0.2"])
+        plain = load_image_scores(workspace["scores"])
+        noisy = load_image_scores(tmp_path / "out.jsonl")
+        assert len(noisy) == len(plain)
+        for (_, a, fa, _), (_, b, fb, _) in zip(plain, noisy):
+            assert not np.array_equal(a.probabilities, b.probabilities)
+            assert np.array_equal(a.offsets, b.offsets)
+            assert np.array_equal(fa, fb)
+
+    def test_image_id_picks_the_rendered_image(self, runner, workspace, tmp_path):
+        out = tmp_path / "r.svg"
+        result = run_ok(runner, ["render", "-d", str(workspace["test"]),
+                                 "-b", str(workspace["basis"]),
+                                 "--image-id", "synth_00003", "-o", str(out)])
+        assert "image: synth_00003" in result.output
+        assert "<title>synth_00003</title>" in out.read_text()
+
+    def test_min_prob_stops_selection(self, runner, workspace, tmp_path):
+        run_ok(runner, [*_detect(workspace, tmp_path), "--min-prob", "1"])
+        grid = load_basis(workspace["basis"]).grid
+        detections = load_detections(tmp_path / "out.jsonl", grid)
+        assert len(detections) == 12
+        assert all(not lanes for _, lanes, _ in detections)
+
+    def test_max_candidates_caps_the_candidate_layer(self, runner, workspace, tmp_path):
+        out = tmp_path / "r.svg"
+        run_ok(runner, ["render", "-d", str(workspace["test"]), "-b", str(workspace["basis"]),
+                        "-c", str(workspace["cands"]), "--max-candidates", "3",
+                        "-o", str(out)])
+        text = out.read_text()
+        group = text.split('<g id="candidates">')[1].split("</g>")[0]
+        assert group.count("<polyline") == 3
+        assert "candidates (3)" in text
 
 
 class TestConfigAndEnv:

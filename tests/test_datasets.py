@@ -111,6 +111,16 @@ class TestTusimpleLoader:
         with pytest.raises(SchemaError):
             load_tusimple_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("lanes", 3), ("lanes", None), ("h_samples", None), ("h_samples", 700)]
+    )
+    def test_non_list_field_is_schema_error(self, tmp_path, key, value):
+        obj = {"lanes": [[1, 2]], "h_samples": [10, 20], "raw_file": "x", key: value}
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(SchemaError, match=f"'{key}' must be a JSON list"):
+            load_tusimple_jsonl(path)
+
     def test_round_trip(self, tmp_path):
         record = DatasetRecord(
             "img0",

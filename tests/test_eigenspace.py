@@ -62,7 +62,7 @@ def lane_from(grid, xs):
 
 @pytest.fixture(scope="module")
 def tiny_grid():
-    return SamplingGrid.uniform(100, 50, 6, y_bottom=49.0, y_top=10.0)
+    return SamplingGrid(100, 50, np.linspace(49.0, 10.0, 6))
 
 
 class TestBuildBasis:
@@ -78,7 +78,7 @@ class TestBuildBasis:
         assert basis.u[pivot, 0] >= 0
 
     def test_diagonal_matrix(self):
-        grid = SamplingGrid.uniform(10, 10, 2, y_bottom=9.0, y_top=1.0)
+        grid = SamplingGrid(10, 10, np.linspace(9.0, 1.0, 2))
         matrix = LaneMatrix(np.array([[3.0, 0.0], [0.0, 1.0]]), grid)
         basis = build_basis(matrix, 2)
         assert np.allclose(basis.singular_values, [3.0, 1.0])
@@ -184,7 +184,7 @@ class TestApproximationError:
         assert approximation_error(matrix, basis) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_oracle_tail_energy(self):
-        grid = SamplingGrid.uniform(200, 120, 10, y_bottom=110.0, y_top=20.0)
+        grid = SamplingGrid(200, 120, np.linspace(110.0, 20.0, 10))
         rng = np.random.default_rng(99)
         a = rng.normal(scale=15.0, size=(10, 50))
         matrix = LaneMatrix(a, grid)

@@ -109,7 +109,7 @@ class TestResamplePolyline:
         assert lane.top_index == grid.n_samples
 
     def test_quadratic_polyline_matches_interp_oracle(self):
-        grid = SamplingGrid.uniform(1280, 720, 10, y_bottom=700.0, y_top=300.0)
+        grid = SamplingGrid(1280, 720, np.linspace(700.0, 300.0, 10))
         ys = np.linspace(710.0, 290.0, 20)
         xs = 600.0 + 0.002 * (ys - 500.0) ** 2
         points = list(zip(xs, ys))
@@ -177,7 +177,7 @@ class TestRasterizeStripe:
         assert int(np.sum(end - start)) == 0
 
     def test_curved_lane_matches_pixel_distance_oracle(self):
-        grid = SamplingGrid.uniform(120, 80, 9, y_bottom=75.0, y_top=12.0)
+        grid = SamplingGrid(120, 80, np.linspace(75.0, 12.0, 9))
         ys = np.linspace(78.0, 10.0, 30)
         xs = 60.0 + 25.0 * np.sin(ys / 17.0)
         lane = resample_polyline(np.column_stack([xs, ys]), grid)
@@ -284,9 +284,9 @@ class TestStripeSpans:
         rng = np.random.default_rng(width)
         grids = [
             SamplingGrid.uniform(1280, 720, 50),
-            SamplingGrid.uniform(1280, 720, 1, y_bottom=700.0),
-            SamplingGrid.uniform(200, 100, 2, y_bottom=99.0, y_top=20.0),
-            SamplingGrid.uniform(1640, 590, 37, y_bottom=589.3, y_top=200.7),
+            SamplingGrid(1280, 720, np.array([700.0])),
+            SamplingGrid(200, 100, np.linspace(99.0, 20.0, 2)),
+            SamplingGrid(1640, 590, np.linspace(589.3, 200.7, 37)),
         ]
         for grid in grids:
             n = grid.n_samples

@@ -11,7 +11,7 @@ GOLDEN = Path(__file__).parent / "golden" / "two_layer_scene.svg"
 
 def fixture_scene():
     """Deterministic two-layer scene shared with the committed golden file."""
-    grid = SamplingGrid.uniform(320, 240, 12, y_bottom=238.0, y_top=90.0)
+    grid = SamplingGrid(320, 240, np.linspace(238.0, 90.0, 12))
     record = DatasetRecord(
         "fixture_scene",
         (320, 240),
