@@ -22,6 +22,7 @@ from .geometry import (
     SamplingGrid,
     batch_iou_one_vs_many,
     lane_arrays,
+    span_envelopes,
     stack_lanes,
     stripe_spans,
 )
@@ -41,7 +42,7 @@ class ClusteringConfig:
             raise ValidationError("k must be >= 1")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """K candidate lanes stacked as xs (K, N) and top_index (K,), with their coefficients.
 
@@ -49,6 +50,11 @@ class CandidateSet:
     coefficient vector. Straight-anchor sets keep their true straight
     geometry and carry best-effort projected coefficients instead (used as
     the origin for coefficient-space refinement).
+
+    The set is frozen and its arrays are read-only, so its caches stay valid
+    for its lifetime: the stripe spans and their envelopes per width, and the
+    suppression rows per (width, threshold, candidate), kept bit-packed, at
+    most K * K / 8 bytes per (width, threshold).
     """
 
     xs: np.ndarray
@@ -56,17 +62,20 @@ class CandidateSet:
     grid: SamplingGrid
     coefficients: np.ndarray
     basis_id: str
-    _span_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _span_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _row_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.xs, self.top_index = lane_arrays(self.xs, self.top_index, self.grid)
-        if self.top_index.ndim != 1 or self.top_index.size == 0:
+        xs, top_index = lane_arrays(self.xs, self.top_index, self.grid)
+        if top_index.ndim != 1 or top_index.size == 0:
             raise ValidationError("candidate set must be a non-empty (k, N) stack")
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] != self.k:
+        if coeffs.ndim != 2 or coeffs.shape[0] != top_index.size:
             raise ValidationError("coefficients must be (k, m)")
         coeffs.setflags(write=False)
-        self.coefficients = coeffs
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "top_index", top_index)
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def k(self) -> int:
@@ -77,13 +86,41 @@ class CandidateSet:
         """The candidates as Lane objects, built anew on every read."""
         return [Lane(xs, top, self.grid) for xs, top in zip(self.xs, self.top_index)]
 
-    def stripe_span_arrays(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (k, image_height) stripe span stacks for batch IoU."""
+    def _spans(self, width: int) -> tuple[np.ndarray, ...]:
+        """Cached (k, image_height) stripe start/end stacks and their (k, blocks) envelopes."""
         key = int(width)
         if key not in self._span_cache:
-            self._span_cache[key] = stripe_spans(self.xs, self.top_index, self.grid, width)
+            spans = stripe_spans(self.xs, self.top_index, self.grid, width)
+            self._span_cache[key] = (*spans, *span_envelopes(*spans))
         return self._span_cache[key]
 
+    def ious(self, span: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
+        """Stripe IoU of one lane's (image_height,) spans against every candidate.
+
+        Bit-equal to batch_iou_one_vs_many against the full span stack: the
+        kernel runs only on the candidates whose span envelope meets the
+        lane's in some block, and no other candidate shares a pixel with the
+        lane, so its IoU is 0.0.
+        """
+        starts, ends, lo, hi = self._spans(width)
+        span_lo, span_hi = span_envelopes(*span)
+        near = np.flatnonzero((np.maximum(lo, span_lo) < np.minimum(hi, span_hi)).any(axis=1))
+        out = np.zeros(self.k)
+        out[near] = batch_iou_one_vs_many(span, (starts[near], ends[near]))
+        return out
+
+    def suppressed(self, i: int, width: int, threshold: float) -> np.ndarray:
+        """Boolean (k,) row: candidates whose stripe IoU with candidate i exceeds threshold.
+
+        The row depends only on the set, so it is computed once per
+        (width, threshold, i) and kept bit-packed.
+        """
+        key = (int(width), float(threshold), int(i))
+        if key not in self._row_cache:
+            starts, ends, _, _ = self._spans(width)
+            row = self.ious((starts[i], ends[i]), width) > threshold
+            self._row_cache[key] = np.packbits(row)
+        return np.unpackbits(self._row_cache[key], count=self.k).view(bool)
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
@@ -234,8 +271,5 @@ def mean_best_iou(
         raise EmptyInput("empty test set")
     grid = candidates.grid
     starts, ends = stripe_spans(*stack_lanes(test_lanes, grid), grid, width)
-    spans = candidates.stripe_span_arrays(width)
-    best = np.empty(len(test_lanes))
-    for i in range(len(test_lanes)):
-        best[i] = batch_iou_one_vs_many((starts[i], ends[i]), spans).max()
-    return float(best.mean())
+    best = [candidates.ious(span, width).max() for span in zip(starts, ends)]
+    return float(np.mean(best))

@@ -70,11 +70,14 @@ class DatasetRecord:
         return [resample_polyline(poly, grid) for poly in self.lanes]
 
 
-def _numbers(values, line_number: int) -> np.ndarray:
+def _numbers(values, field: str, line_number: int) -> np.ndarray:
+    """A flat JSON list of numbers as float64; SchemaError naming field otherwise."""
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise SchemaError(f"line {line_number}: {field} must be a flat list of numbers")
     try:
         return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("coordinates must be numbers", line_number) from exc
+    except OverflowError as exc:  # a JSON integer beyond float64
+        raise SchemaError(f"line {line_number}: {field} holds a number out of range") from exc
 
 
 def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
@@ -84,11 +87,13 @@ def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
     for key in ("lanes", "h_samples"):
         if not isinstance(obj[key], list):
             raise SchemaError(f"line {line_number}: '{key}' must be a JSON list")
-    h_samples = _numbers(obj["h_samples"], line_number)
+    if not isinstance(obj["raw_file"], str):
+        raise SchemaError(f"line {line_number}: 'raw_file' must be a string")
+    h_samples = _numbers(obj["h_samples"], "'h_samples'", line_number)
     polylines = []
     skipped = 0
     for xs in obj["lanes"]:
-        xs = _numbers(xs, line_number)
+        xs = _numbers(xs, "each entry of 'lanes'", line_number)
         if xs.shape != h_samples.shape:
             raise SchemaError(
                 f"line {line_number}: lane length {xs.size} != h_samples {h_samples.size}"
@@ -105,7 +110,7 @@ def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
             skipped,
         )
     return DatasetRecord(
-        image_id=str(obj["raw_file"]),
+        image_id=obj["raw_file"],
         image_size=tuple(image_size),
         lanes=polylines,
         category=obj.get("category"),

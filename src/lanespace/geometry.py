@@ -15,6 +15,7 @@ import numpy as np
 from .errors import GridMismatch, InvalidAnnotation, ValidationError
 
 DEFAULT_STRIPE_WIDTH = 30
+ENVELOPE_BLOCK_ROWS = 24  # image rows per block of a span envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +224,28 @@ def stripe_spans(
     start[:, row_lo : row_hi + 1] = s
     end[:, row_lo : row_hi + 1] = e
     return start, end
+
+
+def span_envelopes(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block column bounds of span rows of shape (..., image_height).
+
+    For each block of ENVELOPE_BLOCK_ROWS image rows (the last block may be
+    shorter), lo is the minimum start and hi the maximum end over the rows
+    the lane covers (start < end). A block with no covered row gets
+    lo == int32 max and hi == 0, so it intersects nothing. Two lanes whose
+    stripes share a pixel on some row have intersecting envelopes in that
+    row's block: max(lo) < min(hi).
+    """
+    covered = end > start
+    empty = np.iinfo(np.int32).max
+    lo = np.where(covered, start, empty)
+    hi = np.where(covered, end, 0)
+    blocks = -(-start.shape[-1] // ENVELOPE_BLOCK_ROWS)
+    pad = [(0, 0)] * (start.ndim - 1) + [(0, blocks * ENVELOPE_BLOCK_ROWS - start.shape[-1])]
+    shape = start.shape[:-1] + (blocks, ENVELOPE_BLOCK_ROWS)
+    lo = np.pad(lo, pad, constant_values=empty).reshape(shape).min(axis=-1)
+    hi = np.pad(hi, pad, constant_values=0).reshape(shape).max(axis=-1)
+    return lo, hi
 
 
 def batch_iou_one_vs_many(

@@ -26,12 +26,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .eigenspace import EigenBasis, project
 from .errors import GridMismatch, ValidationError
-from .geometry import (
-    DEFAULT_STRIPE_WIDTH,
-    batch_iou_one_vs_many,
-    stack_lanes,
-    stripe_spans,
-)
+from .geometry import DEFAULT_STRIPE_WIDTH, stack_lanes, stripe_spans
 from .pipeline import CandidateScores
 
 # Down-weights the geometric summaries so the activation channel dominates
@@ -86,11 +81,10 @@ def oracle_scores(
     k = candidates.k
     m = basis.m
 
-    spans = candidates.stripe_span_arrays(config.stripe_width)
     gt_starts, gt_ends = stripe_spans(gt_xs, gt_top, grid, config.stripe_width)
     iou = np.zeros((k, len(gt_lanes)))
     for j in range(len(gt_lanes)):
-        iou[:, j] = batch_iou_one_vs_many((gt_starts[j], gt_ends[j]), spans)
+        iou[:, j] = candidates.ious((gt_starts[j], gt_ends[j]), config.stripe_width)
 
     offsets = np.zeros((k, m))
     height_dist = np.zeros((k, heights.size))

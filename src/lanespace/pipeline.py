@@ -19,7 +19,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
 from .eigenspace import EigenBasis, reconstruct
-from .geometry import DEFAULT_STRIPE_WIDTH, Lane, batch_iou_one_vs_many
+from .geometry import DEFAULT_STRIPE_WIDTH, Lane
 
 # Exact clique enumeration is only reasonable for small graphs; NMS keeps
 # the node count at T (default 10) anyway.
@@ -107,7 +107,6 @@ def nms_select(
         raise ValidationError("min_probability must be in [0, 1]")
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
-    starts, ends = candidates.stripe_span_arrays(width)
     alive = np.ones(candidates.k, dtype=bool)
     probs = scores.probabilities
     picks: list[int] = []
@@ -118,8 +117,7 @@ def nms_select(
             break
         picks.append(best)
         alive[best] = False
-        ious = batch_iou_one_vs_many((starts[best], ends[best]), (starts, ends))
-        alive &= ~(ious > iou_threshold)
+        alive &= ~candidates.suppressed(best, width, iou_threshold)
     return picks
 
 

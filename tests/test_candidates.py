@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from lanespace import (
     straight_anchor_grid,
     stripe_iou,
 )
+from lanespace.geometry import batch_iou_one_vs_many, stack_lanes, stripe_spans
 
 
 def brute_force_assignment(points, centroids):
@@ -214,6 +217,60 @@ class TestCandidateSetChecks:
         with pytest.raises(ValidationError):
             CandidateSet(xs, top, candidates.grid, coeffs, candidates.basis_id)
 
+    def test_fields_cannot_be_rebound(self, candidates):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            candidates.xs = candidates.xs[::-1]
+
+
+def random_stack(rng, grid, k):
+    """k straight lanes, some wholly off the image, a quarter with top_index 0 or 1."""
+    rise = grid.y_coords[0] - grid.y_coords
+    xs = (rng.uniform(-300, grid.image_width + 300, size=(k, 1))
+          + rng.uniform(-1.5, 1.5, size=(k, 1)) * rise)
+    xs[: max(1, k // 8)] += rng.choice([-5000.0, 5000.0])
+    top = rng.integers(0, grid.n_samples + 1, size=k)
+    top[k // 8 : k // 8 + k // 4] = rng.integers(0, 2, size=k // 4)
+    return xs, top
+
+
+LADDERS = {
+    "50-rows": SamplingGrid(1280, 720, np.linspace(719.0, 252.0, 50)),
+    "1-row": SamplingGrid(1280, 720, np.array([700.0])),
+    "height-100": SamplingGrid(200, 100, np.linspace(99.0, 20.0, 8)),
+    "height-250": SamplingGrid(640, 250, np.linspace(249.0, 3.0, 13)),
+}
+
+
+class TestCandidateSetIous:
+    @pytest.mark.parametrize("k", [1, 9, 200])
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_equals_full_kernel(self, ladder, k):
+        grid = LADDERS[ladder]
+        rng = np.random.default_rng(k)
+        xs, top = random_stack(rng, grid, k)
+        cands = CandidateSet(xs, top, grid, np.zeros((k, 2)), "seeded")
+        query_xs, query_top = random_stack(rng, grid, 40)
+        query_top[:2] = [0, 1]
+        for width in (1, 10, 30):
+            full = stripe_spans(xs, top, grid, width)
+            for span in zip(*stripe_spans(query_xs, query_top, grid, width)):
+                assert np.array_equal(cands.ious(span, width),
+                                      batch_iou_one_vs_many(span, full))
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_suppressed_is_the_thresholded_row(self, ladder):
+        grid = LADDERS[ladder]
+        xs, top = random_stack(np.random.default_rng(3), grid, 60)
+        cands = CandidateSet(xs, top, grid, np.zeros((60, 2)), "seeded")
+        starts, ends = stripe_spans(xs, top, grid, 30)
+        for threshold in (0.3, 0.5, 0.3):
+            for i in range(60):
+                expected = batch_iou_one_vs_many((starts[i], ends[i]), (starts, ends)) > threshold
+                row = cands.suppressed(i, 30, threshold)
+                assert row.dtype == bool
+                assert np.array_equal(row, expected)
+                row[:] = ~row  # the caller's copy, not the memoized row
+
 
 class TestMeanBestIou:
     def test_self_match_is_one(self, candidates):
@@ -247,6 +304,18 @@ class TestMeanBestIou:
             )
         )
         assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [10, 30])
+    def test_matches_full_kernel_loop(self, basis, candidates, train_lanes, width):
+        test = train_lanes[:80]
+        for cands in (candidates, straight_anchor_grid(basis, 300)):
+            grid = cands.grid
+            starts, ends = stripe_spans(*stack_lanes(test, grid), grid, width)
+            spans = stripe_spans(cands.xs, cands.top_index, grid, width)
+            best = np.empty(len(test))
+            for i in range(len(test)):
+                best[i] = batch_iou_one_vs_many((starts[i], ends[i]), spans).max()
+            assert mean_best_iou(cands, test, width) == float(best.mean())
 
     def test_monotone_when_candidates_added(self, basis, candidates, train_lanes):
         test = train_lanes[10:30]

@@ -331,6 +331,13 @@ BAD_INPUTS = {
     "dataset-lanes-int": (lambda ws, tmp: _build_basis_on_line(tmp, lanes=3), 2),
     "dataset-lanes-null": (lambda ws, tmp: _build_basis_on_line(tmp, lanes=None), 2),
     "dataset-h-samples-null": (lambda ws, tmp: _build_basis_on_line(tmp, h_samples=None), 2),
+    "dataset-raw-file-null": (
+        lambda ws, tmp: [*_build_basis_on_line(tmp, raw_file=None), "--rank", "1"], 2),
+    "dataset-nested-h-samples": (
+        lambda ws, tmp: [*_build_basis_on_line(tmp, h_samples=[[700, 600]], lanes=[[[5, 6]]]),
+                         "--rank", "1"], 2),
+    "dataset-lane-entry-int": (
+        lambda ws, tmp: [*_build_basis_on_line(tmp, lanes=[3]), "--rank", "1"], 2),
     "detect-min-prob-nan": (lambda ws, tmp: [*_detect(ws, tmp), "--min-prob", "nan"], 2),
     "detect-min-prob-2": (lambda ws, tmp: [*_detect(ws, tmp), "--min-prob", "2"], 2),
     "render-max-candidates--1": (

@@ -121,6 +121,27 @@ class TestTusimpleLoader:
         with pytest.raises(SchemaError, match=f"'{key}' must be a JSON list"):
             load_tusimple_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"raw_file": None}, "'raw_file' must be a string"),
+            ({"raw_file": 7}, "'raw_file' must be a string"),
+            ({"h_samples": [[10, 20]], "lanes": [[[1, 2]]]},
+             "'h_samples' must be a flat list of numbers"),
+            ({"h_samples": [10, "20"]}, "'h_samples' must be a flat list of numbers"),
+            ({"lanes": [3]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[[1, 2]]]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[1, True]]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[1, 10**400]]}, "each entry of 'lanes' holds a number out of range"),
+        ],
+    )
+    def test_malformed_field_is_schema_error(self, tmp_path, fields, message):
+        obj = {"lanes": [[1, 2]], "h_samples": [10, 20], "raw_file": "x", **fields}
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(SchemaError, match=message):
+            load_tusimple_jsonl(path)
+
     def test_round_trip(self, tmp_path):
         record = DatasetRecord(
             "img0",
@@ -165,6 +186,27 @@ class TestTusimpleLoader:
 
 
 class TestCsvLoader:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"raw_file": None}, "'raw_file' must be a string"),
+            ({"raw_file": 7}, "'raw_file' must be a string"),
+            ({"h_samples": [[10, 20]], "lanes": [[[1, 2]]]},
+             "'h_samples' must be a flat list of numbers"),
+            ({"h_samples": [10, "20"]}, "'h_samples' must be a flat list of numbers"),
+            ({"lanes": [3]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[[1, 2]]]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[1, True]]}, "each entry of 'lanes' must be a flat list of numbers"),
+            ({"lanes": [[1, 10**400]]}, "each entry of 'lanes' holds a number out of range"),
+        ],
+    )
+    def test_malformed_field_is_schema_error(self, tmp_path, fields, message):
+        obj = {"lanes": [[1, 2]], "h_samples": [10, 20], "raw_file": "x", **fields}
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(SchemaError, match=message):
+            load_tusimple_jsonl(path)
+
     def test_round_trip(self, tmp_path):
         record = DatasetRecord(
             "img0",

@@ -166,6 +166,24 @@ class TestNmsSelect:
         for a, b in itertools.combinations(picks, 2):
             assert stripe_iou(lanes[a], lanes[b], 30) <= 0.4
 
+    def test_one_set_serves_interleaved_widths_and_thresholds(self, basis, grid):
+        # near-parallel lanes a few pixels apart, so both knobs change the picks
+        rng = np.random.default_rng(8)
+        rise = grid.y_coords[0] - grid.y_coords
+        xs = rng.uniform(500, 560, size=(40, 1)) + rng.uniform(-0.05, 0.05, size=(40, 1)) * rise
+        top = np.full(40, grid.n_samples)
+        coeffs = np.zeros((40, basis.m))
+        shared = CandidateSet(xs, top, grid, coeffs, basis.content_id)
+        scores = scores_for(shared, rng.uniform(size=40))
+        runs = []
+        for threshold, width in [(0.3, 10), (0.5, 30), (0.5, 10), (0.3, 30), (0.3, 10)]:
+            fresh = CandidateSet(xs, top, grid, coeffs, basis.content_id)
+            got = nms_select(shared, scores, t=10, iou_threshold=threshold, width=width)
+            expected = nms_select(fresh, scores, t=10, iou_threshold=threshold, width=width)
+            assert got == expected
+            runs.append(got)
+        assert len({tuple(picks) for picks in runs}) == 4  # every setting picks its own set
+
     def test_min_probability_stops_early(self, basis, grid, make_vertical):
         lanes = [make_vertical(x) for x in (100.0, 400.0, 700.0)]
         cands = CandidateSet(
