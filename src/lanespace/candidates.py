@@ -122,6 +122,7 @@ class CandidateSet:
             self._row_cache[key] = np.packbits(row)
         return np.unpackbits(self._row_cache[key], count=self.k).view(bool)
 
+
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
