@@ -9,7 +9,6 @@ Usage: python scripts/offset_ablation.py [--test-images 300]
 """
 
 import argparse
-import warnings
 
 from lanespace import (
     ClusteringConfig,
@@ -31,15 +30,13 @@ from lanespace import (
 def run(basis, candidates, records, grid, config):
     heights = uniform_height_grid(grid, 25)
     reports = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for record in records:
-            gt = record.resampled(grid)
-            scores, features = oracle_scores(candidates, gt, basis, heights)
-            detected, _, _ = detect_image(
-                basis, candidates, scores, features, heights, config
-            )
-            reports.append(match_lanes(detected, gt, 0.5, 30, record.image_id))
+    for record in records:
+        gt = record.resampled(grid)
+        scores, features = oracle_scores(candidates, gt, basis, heights)
+        detected, _, _ = detect_image(
+            basis, candidates, scores, features, heights, config
+        )
+        reports.append(match_lanes(detected, gt, 0.5, 30, record.image_id))
     return f_measure(reports)
 
 

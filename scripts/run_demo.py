@@ -9,7 +9,6 @@ Usage: python scripts/run_demo.py [--out-dir demo_out] [--k 300] [--seed 0]
 """
 
 import argparse
-import warnings
 from pathlib import Path
 
 from lanespace import (
@@ -66,19 +65,17 @@ def main():
     per_image_pred = []
     per_image_gt = []
     first_scene = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for record in test:
-            gt = record.resampled(grid)
-            scores, features = oracle_scores(candidates, gt, basis, heights)
-            detected, _, _ = detect_image(
-                basis, candidates, scores, features, heights, config
-            )
-            reports.append(match_lanes(detected, gt, 0.5, 30, record.image_id))
-            per_image_pred.append(detected)
-            per_image_gt.append(gt)
-            if first_scene is None:
-                first_scene = (record, gt, detected)
+    for record in test:
+        gt = record.resampled(grid)
+        scores, features = oracle_scores(candidates, gt, basis, heights)
+        detected, _, _ = detect_image(
+            basis, candidates, scores, features, heights, config
+        )
+        reports.append(match_lanes(detected, gt, 0.5, 30, record.image_id))
+        per_image_pred.append(detected)
+        per_image_gt.append(gt)
+        if first_scene is None:
+            first_scene = (record, gt, detected)
 
     culane = f_measure(reports)
     point = tusimple_score(per_image_pred, per_image_gt)

@@ -30,7 +30,15 @@ from . import __version__
 from .candidates import ClusteringConfig, cluster_lanes, mean_best_iou, straight_anchor_grid
 from .datasets import load_dataset, write_csv, write_tusimple_jsonl
 from .eigenspace import LaneMatrix, build_basis, low_rank_residual
-from .errors import IoError, LanespaceError, SchemaError, ValidationError, VersionError, read_text
+from .errors import (
+    IoError,
+    LanespaceError,
+    SchemaError,
+    ValidationError,
+    VersionError,
+    open_for_writing,
+    read_text,
+)
 from .geometry import Lane, SamplingGrid, stripe_iou, stripe_iou_pixelcount
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
@@ -276,10 +284,8 @@ def approx(data, basis_path, ranks, out, fmt):
             "lanes": matrix.n_lanes,
             "rows": rows,
         }
-        try:
-            path.write_text(json.dumps(report) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        with open_for_writing(path) as fh:
+            fh.write(json.dumps(report) + "\n")
         click.echo(f"out: {path}")
 
 
@@ -378,8 +384,8 @@ def score_oracle(candidates_path, basis_path, data, heights, noise_sigma, iou_fl
 @FLAGS["iou_thresh"]
 @FLAGS["kappa"]
 @FLAGS["stripe_width"]
-@click.option("--min-prob", type=float, default=None,
-              help="stop NMS below this probability (off by default)")
+@click.option("--min-prob", type=float, default=DetectionConfig.min_probability,
+              show_default=True, help="stop NMS below this probability")
 @click.option("--disable-offsets", is_flag=True, help="ablation: ignore offsets")
 @click.option("--disable-heights", is_flag=True, help="ablation: ignore height bins")
 @click.option("-o", "--out", required=True, type=click.Path())

@@ -18,8 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError, SchemaError, ValidationError, read_text
-from .geometry import Lane, SamplingGrid, resample_polyline
+from .errors import (
+    ParseError,
+    SchemaError,
+    ValidationError,
+    json_floats,
+    open_for_writing,
+    read_text,
+)
+from .geometry import Lane, SamplingGrid, check_image_size, resample_polyline
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +46,7 @@ class DatasetRecord:
 
     def __post_init__(self):
         w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValidationError("image_size must be positive")
+        check_image_size(w, h)
         cleaned = []
         for poly in self.lanes:
             pts = np.asarray(poly, dtype=np.float64)
@@ -70,16 +76,6 @@ class DatasetRecord:
         return [resample_polyline(poly, grid) for poly in self.lanes]
 
 
-def _numbers(values, field: str, line_number: int) -> np.ndarray:
-    """A flat JSON list of numbers as float64; SchemaError naming field otherwise."""
-    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-        raise SchemaError(f"line {line_number}: {field} must be a flat list of numbers")
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:  # a JSON integer beyond float64
-        raise SchemaError(f"line {line_number}: {field} holds a number out of range") from exc
-
-
 def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
     for key in ("lanes", "h_samples", "raw_file"):
         if key not in obj:
@@ -89,11 +85,11 @@ def _tusimple_record(obj: dict, line_number: int, image_size) -> DatasetRecord:
             raise SchemaError(f"line {line_number}: '{key}' must be a JSON list")
     if not isinstance(obj["raw_file"], str):
         raise SchemaError(f"line {line_number}: 'raw_file' must be a string")
-    h_samples = _numbers(obj["h_samples"], "'h_samples'", line_number)
+    h_samples = json_floats(obj["h_samples"], f"line {line_number}: 'h_samples'")
     polylines = []
     skipped = 0
     for xs in obj["lanes"]:
-        xs = _numbers(xs, "each entry of 'lanes'", line_number)
+        xs = json_floats(xs, f"line {line_number}: each entry of 'lanes'")
         if xs.shape != h_samples.shape:
             raise SchemaError(
                 f"line {line_number}: lane length {xs.size} != h_samples {h_samples.size}"
@@ -145,28 +141,21 @@ def write_tusimple_jsonl(records, path):
     union of rows used by that image's lanes, with -2 filled where a lane
     has no annotation.
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                rows = sorted(
-                    {float(y) for poly in record.lanes for y in poly[:, 1]}
-                )
-                lanes_out = []
-                for poly in record.lanes:
-                    by_row = {float(y): float(x) for x, y in poly}
-                    lanes_out.append(
-                        [by_row.get(row, MISSING_X) for row in rows]
-                    )
-                obj = {
-                    "raw_file": record.image_id,
-                    "h_samples": rows,
-                    "lanes": lanes_out,
-                }
-                if record.category is not None:
-                    obj["category"] = record.category
-                fh.write(json.dumps(obj) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_for_writing(path) as fh:
+        for record in records:
+            rows = sorted({float(y) for poly in record.lanes for y in poly[:, 1]})
+            lanes_out = []
+            for poly in record.lanes:
+                by_row = {float(y): float(x) for x, y in poly}
+                lanes_out.append([by_row.get(row, MISSING_X) for row in rows])
+            obj = {
+                "raw_file": record.image_id,
+                "h_samples": rows,
+                "lanes": lanes_out,
+            }
+            if record.category is not None:
+                obj["category"] = record.category
+            fh.write(json.dumps(obj) + "\n")
 
 
 def load_csv(path, image_size) -> list[DatasetRecord]:
@@ -199,16 +188,13 @@ def load_csv(path, image_size) -> list[DatasetRecord]:
 
 
 def write_csv(records, path):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["image_id", "lane_id", "x", "y"])
-            for record in records:
-                for lane_id, poly in enumerate(record.lanes):
-                    for x, y in poly:
-                        writer.writerow([record.image_id, lane_id, repr(float(x)), repr(float(y))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_for_writing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "lane_id", "x", "y"])
+        for record in records:
+            for lane_id, poly in enumerate(record.lanes):
+                for x, y in poly:
+                    writer.writerow([record.image_id, lane_id, repr(float(x)), repr(float(y))])
 
 
 def load_culane_dir(path, image_size=CULANE_IMAGE_SIZE) -> list[DatasetRecord]:

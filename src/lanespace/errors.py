@@ -1,11 +1,16 @@
 """Exception hierarchy shared across the package.
 
 ValidationError subclasses signal bad inputs (CLI exit code 2); everything
-else under LanespaceError is a runtime failure (exit code 1). read_text is
-the one place where a failed file read is mapped onto the hierarchy.
+else under LanespaceError is a runtime failure (exit code 1). read_text and
+open_for_writing are the one place where a failed file read or write is
+mapped onto the hierarchy, and json_floats the one decoder of JSON number
+lists.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 class LanespaceError(Exception):
@@ -81,3 +86,30 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text") from exc
+
+
+@contextmanager
+def open_for_writing(path, newline=None):
+    """The file opened for UTF-8 text writing; IoError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def json_floats(values, what: str) -> np.ndarray:
+    """A flat JSON list of numbers as float64; SchemaError naming what otherwise.
+
+    Only JSON integers and floats count as numbers (not booleans), and every
+    value must be finite within float64.
+    """
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise SchemaError(f"{what} must be a flat list of numbers")
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer beyond float64
+        raise SchemaError(f"{what} holds a number out of range") from exc
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{what} must hold finite numbers")
+    return arr

@@ -16,6 +16,14 @@ from .errors import GridMismatch, InvalidAnnotation, ValidationError
 
 DEFAULT_STRIPE_WIDTH = 30
 ENVELOPE_BLOCK_ROWS = 24  # image rows per block of a span envelope
+MAX_IMAGE_SIDE = 2**31 - 1  # stripe spans hold image columns and rows as int32
+
+
+def check_image_size(width, height) -> None:
+    """ValidationError unless width and height are integers in [1, MAX_IMAGE_SIDE]."""
+    for side in (width, height):
+        if not isinstance(side, (int, np.integer)) or not 1 <= side <= MAX_IMAGE_SIDE:
+            raise ValidationError(f"image size must be two integers in [1, {MAX_IMAGE_SIDE}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +39,7 @@ class SamplingGrid:
     y_coords: np.ndarray
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValidationError("image dimensions must be positive")
+        check_image_size(self.image_width, self.image_height)
         ys = np.asarray(self.y_coords, dtype=np.float64)
         if ys.ndim != 1 or ys.size < 1:
             raise ValidationError("y_coords must be a non-empty 1-D array")
@@ -58,6 +65,7 @@ class SamplingGrid:
         """
         if n_samples < 1:
             raise ValidationError("n_samples must be positive")
+        check_image_size(image_width, image_height)
         ys = np.linspace(image_height - 1.0, 0.35 * image_height, n_samples)
         return cls(image_width, image_height, ys)
 
@@ -117,9 +125,6 @@ class Lane:
         """Annotated (x, y) pairs, bottom first, shape (top_index, 2)."""
         k = self.top_index
         return np.column_stack([self.xs[:k], self.grid.y_coords[:k]])
-
-    def with_top_index(self, top_index: int) -> "Lane":
-        return Lane(self.xs, top_index, self.grid)
 
 
 def resample_polyline(points, grid: SamplingGrid) -> Lane:

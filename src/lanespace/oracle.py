@@ -44,8 +44,8 @@ class OracleConfig:
     def __post_init__(self):
         if not 0.0 <= self.iou_floor < 1.0:
             raise ValidationError("iou_floor must be in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValidationError("noise_sigma must be finite and non-negative")
 
 
 def _geometry_summary(xs: np.ndarray, grid) -> np.ndarray:

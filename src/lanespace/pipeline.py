@@ -11,14 +11,13 @@ through the scores contract.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .candidates import CandidateSet
 from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
-from .eigenspace import EigenBasis, reconstruct
+from .eigenspace import EigenBasis
 from .geometry import DEFAULT_STRIPE_WIDTH, Lane
 
 # Exact clique enumeration is only reasonable for small graphs; NMS keeps
@@ -88,22 +87,22 @@ def nms_select(
     t: int = 10,
     iou_threshold: float = 0.5,
     width: int = DEFAULT_STRIPE_WIDTH,
-    min_probability: float | None = None,
+    min_probability: float = 0.0,
 ) -> list[int]:
     """Greedy probability-ranked selection with stripe-IoU suppression.
 
     Repeatedly picks the highest-probability remaining candidate (ties go to
     the lowest index) and discards candidates whose stripe IoU with any pick
-    exceeds iou_threshold, until t picks are made or nothing remains. Picks
-    keep coming regardless of how low the probabilities get, which trades
-    false positives for fewer false negatives; set min_probability to stop
-    early instead.
+    exceeds iou_threshold, until t picks are made, nothing remains or the
+    best remaining probability is below min_probability. The default 0.0
+    never stops early, which trades false positives for fewer false
+    negatives.
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValidationError("iou_threshold must be in (0, 1]")
-    if min_probability is not None and not 0.0 <= min_probability <= 1.0:
+    if not 0.0 <= min_probability <= 1.0:
         raise ValidationError("min_probability must be in [0, 1]")
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
@@ -113,7 +112,7 @@ def nms_select(
     while len(picks) < t and alive.any():
         masked = np.where(alive, probs, -np.inf)
         best = int(np.argmax(masked))
-        if min_probability is not None and probs[best] < min_probability:
+        if probs[best] < min_probability:
             break
         picks.append(best)
         alive[best] = False
@@ -126,18 +125,13 @@ def relation_from_features(features: np.ndarray) -> RelationMatrix:
 
     Rows are l2-normalized before the Gram product, so every entry lands in
     [-1, 1]. All-zero feature rows carry no evidence: they relate 0 to
-    everything and trigger a warning.
+    everything.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise EmptyInput("features must be a non-empty (T, C) matrix")
     norms = np.linalg.norm(f, axis=1)
     zero = norms == 0
-    if np.any(zero):
-        warnings.warn(
-            f"{int(zero.sum())} all-zero feature rows; their relations are 0",
-            stacklevel=2,
-        )
     safe = np.where(zero, 1.0, norms)
     unit = f / safe[:, None]
     relation = unit @ unit.T
@@ -225,26 +219,28 @@ def finalize(
     heights = np.asarray(height_grid, dtype=np.float64)
     if heights.ndim != 1 or heights.size != scores.height_distributions.shape[1]:
         raise ValidationError("height_grid length must match the height distributions")
-    if heights.size > 1 and not (
+    if not np.all(np.isfinite(heights)) or heights.size > 1 and not (
         np.all(np.diff(heights) > 0) or np.all(np.diff(heights) < 0)
     ):
-        raise ValidationError("height_grid must be strictly monotone")
-    out = []
-    for idx in clique.member_indices:
-        if not 0 <= idx < candidates.k:
-            raise IndexError(f"clique member {idx} outside candidate set")
-        c = candidates.coefficients[idx]
-        delta = scores.offsets[idx] if use_offsets else np.zeros_like(c)
-        if delta.shape != c.shape:
+        raise ValidationError("height_grid must be finite and strictly monotone")
+    members = np.asarray(clique.member_indices, dtype=np.int64)
+    if np.any((members < 0) | (members >= candidates.k)):
+        raise IndexError(f"clique members {members.tolist()} reach outside the candidate set")
+    coefficients = candidates.coefficients[members]
+    if coefficients.shape[1] != basis.m:
+        raise DimensionMismatch("coefficient length does not match basis rank")
+    if use_offsets:
+        offsets = scores.offsets[members]
+        if offsets.shape != coefficients.shape:
             raise DimensionMismatch("offset length does not match coefficients")
-        lane = reconstruct(basis, c + delta)
-        if use_heights:
-            bin_idx = int(np.argmax(scores.height_distributions[idx]))
-            y_end = heights[bin_idx]
-            top_index = int(np.count_nonzero(basis.grid.y_coords >= y_end))
-            lane = lane.with_top_index(top_index)
-        out.append(lane)
-    return out
+        coefficients = coefficients + offsets
+    top_index = np.full(members.size, basis.grid.n_samples)
+    if use_heights:
+        y_end = heights[np.argmax(scores.height_distributions[members], axis=1)]
+        # samples at or below y_end: a prefix of the bottom-first ladder
+        top_index = np.searchsorted(-basis.grid.y_coords, -y_end, side="right")
+    # one gemv per member, as reconstruct computes it, keeps every xs bit
+    return [Lane(basis.u @ c, top, basis.grid) for c, top in zip(coefficients, top_index)]
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,7 @@ class DetectionConfig:
     iou_threshold: float = 0.5
     kappa: float = 0.3
     stripe_width: int = DEFAULT_STRIPE_WIDTH
-    min_probability: float | None = None
+    min_probability: float = 0.0
     use_offsets: bool = True
     use_heights: bool = True
 

@@ -13,7 +13,7 @@ from html import escape
 from typing import Sequence
 
 from .datasets import DatasetRecord
-from .errors import IoError
+from .errors import open_for_writing
 from .geometry import Lane
 
 DEFAULT_COLORS = ("#00b7c2", "#ff5d73", "#ffd166", "#7bd389", "#9b5de5")
@@ -74,9 +74,6 @@ def render_svg(record: DatasetRecord, layers: Sequence[LaneLayer], path) -> None
             f'font-size="12" fill="#d8dee9">{escape(layer.name)} ({len(layer.lanes)})</text>'
         )
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_for_writing(path) as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import IoError, SchemaError, VersionError, read_text
+from .errors import SchemaError, VersionError, json_floats, open_for_writing, read_text
 from .eigenspace import EigenBasis
 from .geometry import Lane, SamplingGrid
 from .metrics import MatchReport, PointAccuracyReport
@@ -52,17 +52,6 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"dims": list(arr.shape), "data": arr.ravel().tolist()}
 
 
-def _floats(values, what: str) -> np.ndarray:
-    """A flat JSON list as float64; SchemaError unless every item is a finite number."""
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:
-        raise SchemaError(f"{what} must be a flat list of finite numbers") from exc
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{what} must be a flat list of finite numbers")
-    return arr.astype(np.float64, copy=False)
-
-
 def _int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, found {value!r}")
@@ -75,7 +64,7 @@ def _decode_array(obj, expected_ndim: int | None = None) -> np.ndarray:
     dims = _require(obj, "dims")
     if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
         raise SchemaError(f"array dims must be non-negative integers, found {dims}")
-    data = _floats(_require(obj, "data"), "array data")
+    data = json_floats(_require(obj, "data"), "array data")
     if data.size != math.prod(dims):
         raise SchemaError(f"array claims shape {dims} but carries {data.size} values")
     if expected_ndim is not None and len(dims) != expected_ndim:
@@ -105,12 +94,9 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
 
 def _write_lines(objs, path):
     """Write each object as one line of JSON."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                fh.write(json.dumps(obj) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_for_writing(path) as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
 
 
 def _write_json(obj: dict, path):
@@ -257,7 +243,7 @@ def load_detections(path, grid: SamplingGrid):
     for obj in _read_lines(path, "detections"):
         lanes = []
         for lane_obj in _list(_require(obj, "lanes"), "detection lanes"):
-            xs = _floats(_require(lane_obj, "xs"), "detection xs")
+            xs = json_floats(_require(lane_obj, "xs"), "detection xs")
             if xs.size != grid.n_samples:
                 raise SchemaError("detection lane length does not match grid")
             lanes.append(Lane(xs, _int(_require(lane_obj, "top_index"), "top_index"), grid))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import DatasetRecord
 from .errors import ValidationError
+from .geometry import check_image_size
 
 FAMILIES = ("straight", "arc", "s_curve")
 MAX_LANES = 5
@@ -45,10 +46,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError("count must be >= 1")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
-            raise ValidationError("weights must be 3 non-negative numbers")
-        if sum(self.weights) <= 0:
-            raise ValidationError("weights must not all be zero")
+        check_image_size(*self.image_size)
+        if len(self.weights) != 3 or not all(0 <= w < np.inf for w in self.weights):
+            raise ValidationError("weights must be 3 finite non-negative numbers")
+        if not 0 < sum(self.weights) < np.inf:
+            raise ValidationError("weights must have a positive finite sum")
         lo, hi = self.curvature_range
         if not (0 < lo <= hi) or not np.isfinite(hi):
             raise ValidationError("curvature_range must be finite and positive")

@@ -3,13 +3,13 @@ import pytest
 
 from lanespace import (
     ClusteringConfig,
+    Lane,
     LaneMatrix,
     SamplingGrid,
     SyntheticSpec,
     build_basis,
     cluster_lanes,
     generate_synthetic,
-    resample_polyline,
 )
 
 
@@ -46,9 +46,7 @@ def candidates(basis, train_lanes):
 
 def vertical_lane(grid, x, top_index=None):
     xs = np.full(grid.n_samples, float(x))
-    return resample_polyline(
-        np.column_stack([xs, grid.y_coords]), grid
-    ).with_top_index(grid.n_samples if top_index is None else top_index)
+    return Lane(xs, grid.n_samples if top_index is None else top_index, grid)
 
 
 @pytest.fixture

@@ -344,6 +344,36 @@ BAD_INPUTS = {
         lambda ws, tmp: ["render", "-d", str(ws["test"]), "-b", str(ws["basis"]),
                          "-c", str(ws["cands"]), "--max-candidates", "-1",
                          "-o", str(tmp / "r.svg")], 2),
+    "synth-weights-nan": (
+        lambda ws, tmp: ["synth", "--count", "2", "--weights", "nan,1,1",
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "synth-weights-inf": (
+        lambda ws, tmp: ["synth", "--count", "2", "--weights", "inf,1,1",
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "synth-weights-sum-overflows": (
+        lambda ws, tmp: ["synth", "--count", "2", "--weights", "1e308,1e308,1",
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "score-oracle-noise-sigma-nan": (
+        lambda ws, tmp: [*_score(ws, tmp), "--noise-sigma", "nan"], 2),
+    "score-oracle-noise-sigma-inf": (
+        lambda ws, tmp: [*_score(ws, tmp), "--noise-sigma", "inf"], 2),
+    "candidates-image-width-huge": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["grid"].update(image_width=10**400)), 2),
+    "build-basis-image-width-huge": (
+        lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--image-width", str(10**400),
+                         "-o", str(tmp / "b.json")], 2),
+    "build-basis-image-height-huge": (
+        lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--image-height", str(10**400),
+                         "-o", str(tmp / "b.json")], 2),
+    "synth-image-width-huge": (
+        lambda ws, tmp: ["synth", "--count", "2", "--image-width", str(10**400),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "detections-xs-bool": (
+        lambda ws, tmp: _eval(ws, tmp, lambda obj: obj["lanes"][0]["xs"].__setitem__(0, True)),
+        2),
+    "candidates-data-bool": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, _set_item("lanes", 0, True)), 2),
 }
 
 

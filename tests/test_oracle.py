@@ -3,6 +3,7 @@ import pytest
 
 from lanespace import (
     CandidateSet,
+    Lane,
     OracleConfig,
     oracle_scores,
     project,
@@ -91,11 +92,7 @@ class TestOracleScores:
         zero_rows = np.nonzero(np.all(features == 0, axis=1))[0]
         assert zero_rows.size == candidates.k - active.size
         if active.size >= 2:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                relation = relation_from_features(features[np.concatenate([active, zero_rows[:3]])])
+            relation = relation_from_features(features[np.concatenate([active, zero_rows[:3]])])
             n = active.size
             # champions relate strongly to each other, junk relates to nothing
             for i in range(n):
@@ -104,7 +101,7 @@ class TestOracleScores:
             assert np.allclose(relation[n:, :], 0.0)
 
     def test_matches_per_candidate_loop(self, basis, candidates, heights, train_lanes):
-        gt = train_lanes[:3] + [train_lanes[5].with_top_index(20)]
+        gt = train_lanes[:3] + [Lane(train_lanes[5].xs, 20, train_lanes[5].grid)]
         scores, _ = oracle_scores(candidates, gt, basis, heights)
         best, offsets, height_dist = loop_oracle(candidates, gt, basis, heights, 0.25)
         assert np.array_equal(scores.probabilities, best)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -218,9 +219,10 @@ class TestRelationFromFeatures:
                 )
                 assert relation[i, j] == pytest.approx(expected, abs=1e-9)
 
-    def test_zero_rows_flagged_and_zeroed(self):
+    def test_zero_rows_zeroed_without_warning(self):
         f = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             relation = relation_from_features(f)
         assert np.allclose(relation[1], 0.0)
         assert np.allclose(relation[:, 1], 0.0)

@@ -21,7 +21,7 @@ SCRIPTS = {
 def test_script_exits_cleanly(script, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / script), *SCRIPTS[script]],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
