@@ -59,6 +59,7 @@ from .geometry import (
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
+    stripe_ious,
 )
 from .metrics import (
     ImageMatch,
@@ -143,6 +144,7 @@ __all__ = [
     "straight_anchor_grid",
     "stripe_iou",
     "stripe_iou_pixelcount",
+    "stripe_ious",
     "trailing_energy",
     "tusimple_score",
     "uniform_height_grid",

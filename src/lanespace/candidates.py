@@ -186,27 +186,19 @@ def lloyd_kmeans(
         empty = np.nonzero(counts == 0)[0]
         if empty.size:
             dist_own = np.sum((points - new_centroids[labels]) ** 2, axis=1)
-            taken = set()
-            for j in empty:
-                order = np.argsort(dist_own, kind="stable")[::-1]
-                pick = next(int(p) for p in order if int(p) not in taken)
-                taken.add(pick)
-                new_centroids[j] = points[pick]
-                dist_own[pick] = -1.0
+            farthest = np.argsort(dist_own, kind="stable")[::-1]
+            new_centroids[empty] = points[farthest[: empty.size]]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         labels = _assign(points, centroids)
-        objective = float(
-            np.sum((points - centroids[labels]) ** 2)
-        )
+        objective = float(np.sum((points - centroids[labels]) ** 2))
         assert objective <= prev_objective + 1e-9 * max(1.0, prev_objective), (
             "k-means objective increased"
         )
         prev_objective = objective
         if shift < TOLERANCE:
             break
-    inertia = float(np.sum((points - centroids[labels]) ** 2))
-    return centroids, labels, inertia
+    return centroids, labels, objective
 
 
 def cluster_lanes(

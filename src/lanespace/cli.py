@@ -37,9 +37,10 @@ from .errors import (
     ValidationError,
     VersionError,
     open_for_writing,
+    parse_json,
     read_text,
 )
-from .geometry import Lane, SamplingGrid, stripe_iou, stripe_iou_pixelcount
+from .geometry import Lane, SamplingGrid, stripe_ious
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
 from .pipeline import DetectionConfig, detect_image, uniform_height_grid
@@ -88,10 +89,7 @@ def _apply_config(ctx, param, path):
     """Make the config file's values the command's flag defaults."""
     if path is None:
         return
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path}: invalid JSON ({exc.msg})") from exc
+    obj = parse_json(read_text(path), f"config {path}")
     if not isinstance(obj, dict):
         raise SchemaError("config must be a JSON object")
     version = obj.get("schema_version")
@@ -325,23 +323,13 @@ def straight_anchors(basis_path, n, out):
 @click.option("-c", "--candidates", "candidates_path", required=True, type=click.Path())
 @click.option("-d", "--data", required=True, type=click.Path())
 @FLAGS["stripe_width"]
-@click.option("--iou-mode", type=click.Choice(["interval", "pixel"]), default="interval",
-              show_default=True, help="pixel mode audits with materialized masks")
 @config_option
 @FLAGS["format"]
-def eval_candidates(candidates_path, data, stripe_width, iou_mode, fmt):
+def eval_candidates(candidates_path, data, stripe_width, fmt):
     """Mean best-match IoU of a candidate set against a test dataset."""
     candidates = load_candidates(candidates_path)
     test_lanes = _lanes(_records(data, fmt, candidates.grid), candidates.grid)
-    if iou_mode == "interval":
-        score = mean_best_iou(candidates, test_lanes, stripe_width)
-    else:
-        cands = candidates.lanes
-        best = [
-            max(stripe_iou_pixelcount(lane, cand, stripe_width) for cand in cands)
-            for lane in test_lanes
-        ]
-        score = float(np.mean(best))
+    score = mean_best_iou(candidates, test_lanes, stripe_width)
     _echo_kv([("test_lanes", len(test_lanes)), ("mean_best_iou", f"{score:.6f}")])
 
 
@@ -515,19 +503,14 @@ def render(data, image_id, basis_path, pred_path, candidates_path, max_candidate
 @click.option("-b", "--basis", "basis_path", required=True, type=click.Path())
 @click.option("--image-id", default=None)
 @FLAGS["stripe_width"]
-@click.option("--iou-mode", type=click.Choice(["interval", "pixel"]), default="interval",
-              show_default=True)
 @config_option
 @FLAGS["format"]
-def iou_cmd(data, basis_path, image_id, stripe_width, iou_mode, fmt):
+def iou_cmd(data, basis_path, image_id, stripe_width, fmt):
     """Pairwise stripe IoU table of one image's lanes (audit helper)."""
     grid = load_basis(basis_path).grid
-    record = _record(_records(data, fmt, grid), image_id)
-    lanes = record.resampled(grid)
-    fn = stripe_iou if iou_mode == "interval" else stripe_iou_pixelcount
-    for i in range(len(lanes)):
-        row = [f"{fn(lanes[i], lanes[j], stripe_width):.4f}" for j in range(len(lanes))]
-        click.echo(" ".join(row))
+    lanes = _record(_records(data, fmt, grid), image_id).resampled(grid)
+    for row in stripe_ious(lanes, lanes, stripe_width):
+        click.echo(" ".join(f"{iou:.4f}" for iou in row))
 
 
 if __name__ == "__main__":

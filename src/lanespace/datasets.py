@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     json_floats,
     open_for_writing,
+    parse_json,
     read_text,
 )
 from .geometry import Lane, SamplingGrid, check_image_size, resample_polyline
@@ -125,9 +126,9 @@ def load_tusimple_jsonl(path, image_size=TUSIMPLE_IMAGE_SIZE) -> list[DatasetRec
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+            obj = parse_json(line, str(path))
+        except SchemaError as exc:
+            raise ParseError(str(exc), line_number) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line_number)
         records.append(_tusimple_record(obj, line_number, image_size))

@@ -3,10 +3,11 @@
 ValidationError subclasses signal bad inputs (CLI exit code 2); everything
 else under LanespaceError is a runtime failure (exit code 1). read_text and
 open_for_writing are the one place where a failed file read or write is
-mapped onto the hierarchy, and json_floats the one decoder of JSON number
-lists.
+mapped onto the hierarchy, parse_json the one JSON parser and json_floats
+the one decoder of JSON number lists.
 """
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -86,6 +87,23 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text") from exc
+
+
+def parse_json(text: str, where: str):
+    """The JSON value of text; SchemaError naming where if json.loads cannot decode it.
+
+    Besides malformed text, json.loads refuses an integer literal beyond
+    Python's int digit limit (ValueError) and nesting deeper than the
+    recursion limit (RecursionError).
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{where}: invalid JSON (integer literal too long)") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{where}: invalid JSON (nested too deeply)") from exc
 
 
 @contextmanager

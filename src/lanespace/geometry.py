@@ -277,13 +277,27 @@ def batch_iou_one_vs_many(
     return out
 
 
-def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
-    """Intersection over union of the two lanes' stripes.
+def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
+    """Stripe IoU of every (row lane, column lane) pair, shape (len(rows), len(cols)).
 
-    Returns 0.0 when the union is empty.
+    Both sides are stacked and spanned once. Raises GridMismatch when the
+    lanes were sampled on more than one grid, even if one side is empty.
     """
-    starts, ends = stripe_spans(*stack_lanes([a, b], a.grid), a.grid, width)
-    return float(batch_iou_one_vs_many((starts[0], ends[0]), (starts[1:], ends[1:]))[0])
+    rows, cols = list(rows), list(cols)
+    lanes = rows + cols
+    out = np.zeros((len(rows), len(cols)))
+    if lanes:
+        grid = lanes[0].grid
+        starts, ends = stripe_spans(*stack_lanes(lanes, grid), grid, width)
+        n = len(rows)
+        for i in range(n):
+            out[i] = batch_iou_one_vs_many((starts[i], ends[i]), (starts[n:], ends[n:]))
+    return out
+
+
+def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
+    """Intersection over union of the two lanes' stripes; 0.0 when the union is empty."""
+    return float(stripe_ious([a], [b], width)[0, 0])
 
 
 def stripe_iou_pixelcount(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:

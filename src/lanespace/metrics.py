@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (
-    DEFAULT_STRIPE_WIDTH,
-    Lane,
-    batch_iou_one_vs_many,
-    stack_lanes,
-    stripe_spans,
-)
+from .geometry import DEFAULT_STRIPE_WIDTH, stack_lanes, stripe_ious
 
 TUSIMPLE_POINT_THRESHOLD = 20.0
 TUSIMPLE_LANE_ACCURACY_FLOOR = 0.85
@@ -125,20 +119,10 @@ def match_lanes(
     the de-facto convention for this protocol; the report notes whenever a
     maximum matching would have scored differently so audits can spot it.
     """
-    predictions = list(predictions)
-    ground_truth = list(ground_truth)
     if not 0.0 < iou_threshold <= 1.0:
         raise ValidationError("iou_threshold must be in (0, 1]")
-    lanes = predictions + ground_truth
-    n_pred, n_gt = len(predictions), len(ground_truth)
-    ious = np.zeros((n_pred, n_gt))
-    if lanes:
-        grid = lanes[0].grid
-        starts, ends = stripe_spans(*stack_lanes(lanes, grid), grid, width)
-        gt_spans = (starts[n_pred:], ends[n_pred:])
-        for i in range(n_pred):
-            ious[i] = batch_iou_one_vs_many((starts[i], ends[i]), gt_spans)
-
+    ious = stripe_ious(predictions, ground_truth, width)
+    n_pred, n_gt = ious.shape
     above = ious > iou_threshold
     pairs = [(i, j, float(ious[i, j])) for i, j in _greedy_pairs(ious, above)]
     tp = len(pairs)
@@ -170,29 +154,18 @@ def f_measure(reports) -> MatchReport:
     return MatchReport(tp, fp, fn, precision, recall, f, reports)
 
 
-def _lane_point_accuracy(pred: Lane, gt: Lane) -> tuple[int, int]:
-    """(correct points, total gt points) for one prediction/gt pair.
-
-    A ground-truth point counts as correct when the prediction covers its
-    row (the row is inside the prediction's annotated extent) and the
-    horizontal distance is strictly below TUSIMPLE_POINT_THRESHOLD.
-    """
-    n_points = gt.top_index
-    if n_points == 0:
-        return 0, 0
-    k = min(pred.top_index, n_points)
-    diffs = np.abs(pred.xs[:k] - gt.xs[:k])
-    return int(np.count_nonzero(diffs < TUSIMPLE_POINT_THRESHOLD)), n_points
-
-
 def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyReport:
     """Pointwise accuracy plus lane-level FPR / FNR over a list of images.
 
     predictions and ground_truth are parallel lists; element i holds the
     lanes of image i, all sampled on one shared grid. Within an image,
     lanes are matched greedily by per-lane point accuracy (descending, ties
-    to the lowest prediction then ground-truth index). A predicted lane is
-    false when unmatched or when its accuracy falls below
+    to the lowest prediction then ground-truth index). A ground-truth point
+    is correct for a prediction when its row lies inside both lanes'
+    annotated extents and the horizontal distance is strictly below
+    TUSIMPLE_POINT_THRESHOLD; a pair's accuracy is its correct points over
+    the ground-truth lane's points, 0.0 for a lane without points. A
+    predicted lane is false when unmatched or when its accuracy falls below
     TUSIMPLE_LANE_ACCURACY_FLOOR; the same rule marks the ground-truth lane
     missed.
     """
@@ -206,18 +179,17 @@ def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyRe
     per_image = []
     for image_id, preds, gts in zip(image_ids, predictions, ground_truth):
         lanes = preds + gts
-        if lanes:
-            stack_lanes(lanes, lanes[0].grid)  # raises GridMismatch
         n_pred, n_gt = len(preds), len(gts)
-        acc = np.zeros((n_pred, n_gt))
         correct = np.zeros((n_pred, n_gt), dtype=np.int64)
         points = np.zeros(n_gt, dtype=np.int64)
-        for j, gt in enumerate(gts):
-            points[j] = gt.top_index
-            for i, pred in enumerate(preds):
-                c, n = _lane_point_accuracy(pred, gt)
-                correct[i, j] = c
-                acc[i, j] = c / n if n else 0.0
+        if lanes:
+            xs, top = stack_lanes(lanes, lanes[0].grid)
+            points = top[n_pred:]
+            close = np.abs(xs[:n_pred, None] - xs[None, n_pred:]) < TUSIMPLE_POINT_THRESHOLD
+            extent = np.minimum(top[:n_pred, None], points)
+            covered = np.arange(xs.shape[1]) < extent[..., None]
+            correct = np.count_nonzero(close & covered, axis=2)
+        acc = np.divide(correct, points, out=np.zeros(correct.shape), where=points > 0)
 
         pairs = _greedy_pairs(acc, np.ones(acc.shape, dtype=bool))
         hits = sum(1 for i, j in pairs if acc[i, j] >= TUSIMPLE_LANE_ACCURACY_FLOOR)

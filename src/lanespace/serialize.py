@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import SchemaError, VersionError, json_floats, open_for_writing, read_text
+from .errors import SchemaError, VersionError, json_floats, open_for_writing, parse_json, read_text
 from .eigenspace import EigenBasis
 from .geometry import Lane, SamplingGrid
 from .metrics import MatchReport, PointAccuracyReport
@@ -104,10 +104,7 @@ def _write_json(obj: dict, path):
 
 
 def _parse(text: str, path, kind: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from exc
+    obj = parse_json(text, str(path))
     _check_header(obj, kind)
     return obj
 
@@ -248,8 +245,9 @@ def load_detections(path, grid: SamplingGrid):
                 raise SchemaError("detection lane length does not match grid")
             lanes.append(Lane(xs, _int(_require(lane_obj, "top_index"), "top_index"), grid))
         compatibility = obj.get("compatibility", 0.0)
-        if type(compatibility) not in (int, float) or not math.isfinite(compatibility):
-            raise SchemaError(f"compatibility must be a finite number, found {compatibility!r}")
+        if type(compatibility) not in (int, float):
+            raise SchemaError(f"compatibility must be a number, found {compatibility!r}")
+        compatibility = float(json_floats([compatibility], "compatibility")[0])
         out.append((str(_require(obj, "image_id")), lanes, compatibility))
     return out
 

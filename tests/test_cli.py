@@ -1,8 +1,12 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanespace.cli import main
 from lanespace.datasets import write_tusimple_jsonl
@@ -93,22 +97,6 @@ class TestChain:
         assert "accuracy:" in result.output
         assert "fnr:" in result.output
 
-    def test_eval_candidates_interval_equals_pixel(self, runner, workspace):
-        small = workspace["root"] / "small_test.jsonl"
-        run_ok(CliRunner(), ["synth", "--count", "3", "--seed", "8", "-o", str(small)])
-        out_interval = run_ok(
-            CliRunner(),
-            ["eval-candidates", "-c", str(workspace["cands"]), "-d", str(small)],
-        ).output
-        out_pixel = run_ok(
-            CliRunner(),
-            ["eval-candidates", "-c", str(workspace["cands"]), "-d", str(small),
-             "--iou-mode", "pixel"],
-        ).output
-        v1 = float(out_interval.split("mean_best_iou:")[1].strip())
-        v2 = float(out_pixel.split("mean_best_iou:")[1].strip())
-        assert v1 == pytest.approx(v2, abs=1e-9)
-
     def test_straight_anchors_and_approx(self, runner, workspace):
         anchors = workspace["root"] / "anchors.json"
         run_ok(
@@ -189,9 +177,22 @@ class TestValidationBehaviour:
         assert "cannot read" in result.output
 
 
+# Stand-ins for literals json.dumps cannot write, spliced into the text by _dumps.
+LONG_INT = "<5000 digits>"  # beyond Python's 4,300-digit limit for int()
+DEEP_LIST = "<5000 deep>"  # deeper than the JSON decoder's recursion limit
+SPLICES = {LONG_INT: "9" * 5000, DEEP_LIST: "[" * 5000 + "]" * 5000}
+
+
+def _dumps(obj) -> str:
+    text = json.dumps(obj)
+    for stand_in, literal in SPLICES.items():
+        text = text.replace(json.dumps(stand_in), literal)
+    return text
+
+
 def _config(tmp_path, defaults):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"schema_version": 1, "defaults": defaults}))
+    path.write_text(_dumps({"schema_version": 1, "defaults": defaults}))
     return str(path)
 
 
@@ -200,7 +201,7 @@ def _edited(path, tmp_path, edit):
     obj = json.loads(path.read_text().splitlines()[0])
     edit(obj)
     out = tmp_path / f"bad_{path.name}"
-    out.write_text(json.dumps(obj) + "\n")
+    out.write_text(_dumps(obj) + "\n")
     return str(out)
 
 
@@ -235,7 +236,7 @@ def _build_basis_on_line(tmp_path, **fields):
     """build-basis on a one-line TuSimple file whose fields are replaced by fields."""
     obj = {"raw_file": "a", "h_samples": [700, 600], "lanes": [[5, 6]], **fields}
     path = tmp_path / "edited.jsonl"
-    path.write_text(json.dumps(obj) + "\n")
+    path.write_text(_dumps(obj) + "\n")
     return ["build-basis", "-d", str(path), "-o", str(tmp_path / "b.json")]
 
 
@@ -374,6 +375,22 @@ BAD_INPUTS = {
         2),
     "candidates-data-bool": (
         lambda ws, tmp: _eval_candidates(ws, tmp, _set_item("lanes", 0, True)), 2),
+    "candidates-k-5000-digits": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj.update(k=LONG_INT)), 2),
+    "dataset-5000-digits": (
+        lambda ws, tmp: _build_basis_on_line(tmp, h_samples=[700, LONG_INT]), 2),
+    "config-5000-digits": (
+        lambda ws, tmp: ["synth", "--count", "2", "--config", _config(tmp, {"seed": LONG_INT}),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "scores-5000-deep": (
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, lambda obj: obj.update(features=DEEP_LIST))), 2),
+    "dataset-5000-deep": (lambda ws, tmp: _build_basis_on_line(tmp, lanes=DEEP_LIST), 2),
+    "config-5000-deep": (
+        lambda ws, tmp: ["synth", "--count", "2", "--config", _config(tmp, {"seed": DEEP_LIST}),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "detections-compatibility-huge": (
+        lambda ws, tmp: _eval(ws, tmp, lambda obj: obj.update(compatibility=10**400)), 2),
 }
 
 
@@ -397,6 +414,54 @@ class TestInputErrorsExitCleanly:
         errors = [line for line in result.output.splitlines()
                   if line.startswith(("error:", "Error:"))]
         assert len(errors) == 1, result.output
+        assert "Traceback" not in result.output
+
+
+# artifact -> (its workspace key, the command that reads a mutated copy at path)
+ARTIFACT_READERS = {
+    "candidates": ("cands", lambda ws, path: ["eval-candidates", "-c", path, "-d", str(ws["test"])]),
+    "basis": ("basis", lambda ws, path: ["approx", "-d", str(ws["test"]), "-b", path]),
+    "scores": ("scores", lambda ws, path: _detect(ws, ws["root"], path)),
+    "detections": (
+        "det", lambda ws, path: ["eval", "-p", path, "-d", str(ws["test"]), "-b", str(ws["basis"])]),
+    "test-dataset": ("test", lambda ws, path: ["iou", "-d", path, "-b", str(ws["basis"])]),
+}
+MUTATIONS = ["a", {"a": 1}, [1], 0.5, 7, True, None, float("nan"), -1, 10**400, LONG_INT, DEEP_LIST]
+
+
+def _value_paths(node, path=()):
+    """Every path into a JSON value, descending into the first two items of each list."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:2])
+    else:
+        children = ()
+    for key, child in children:
+        yield from _value_paths(child, (*path, key))
+
+
+class TestArtifactMutations:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_one_mutated_value_exits_0_or_2_without_traceback(self, runner, workspace, data):
+        key, command = ARTIFACT_READERS[data.draw(st.sampled_from(sorted(ARTIFACT_READERS)))]
+        obj = json.loads(workspace[key].read_text().splitlines()[0])
+        path = data.draw(st.sampled_from(list(_value_paths(obj))))
+        value = data.draw(st.sampled_from(MUTATIONS))
+        if path:
+            functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
+        else:
+            obj = value
+        out = workspace["root"] / f"mutated_{workspace[key].name}"
+        out.write_text(_dumps(obj) + "\n")
+        result = runner.invoke(main, command(workspace, str(out)))
+        assert result.exit_code in (0, 2), result.output
+        assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith(("error:", "Error:"))]
+        assert len(errors) == (result.exit_code == 2), result.output
         assert "Traceback" not in result.output
 
 

@@ -9,6 +9,7 @@ from lanespace import (
     DatasetRecord,
     ParseError,
     SchemaError,
+    ValidationError,
     load_csv,
     load_dataset,
     load_tusimple_jsonl,
@@ -186,26 +187,12 @@ class TestTusimpleLoader:
 
 
 class TestCsvLoader:
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"raw_file": None}, "'raw_file' must be a string"),
-            ({"raw_file": 7}, "'raw_file' must be a string"),
-            ({"h_samples": [[10, 20]], "lanes": [[[1, 2]]]},
-             "'h_samples' must be a flat list of numbers"),
-            ({"h_samples": [10, "20"]}, "'h_samples' must be a flat list of numbers"),
-            ({"lanes": [3]}, "each entry of 'lanes' must be a flat list of numbers"),
-            ({"lanes": [[[1, 2]]]}, "each entry of 'lanes' must be a flat list of numbers"),
-            ({"lanes": [[1, True]]}, "each entry of 'lanes' must be a flat list of numbers"),
-            ({"lanes": [[1, 10**400]]}, "each entry of 'lanes' holds a number out of range"),
-        ],
-    )
-    def test_malformed_field_is_schema_error(self, tmp_path, fields, message):
-        obj = {"lanes": [[1, 2]], "h_samples": [10, 20], "raw_file": "x", **fields}
-        path = tmp_path / "data.jsonl"
-        write_lines(path, [json.dumps(obj)])
-        with pytest.raises(SchemaError, match=message):
-            load_tusimple_jsonl(path)
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e999"])
+    def test_non_finite_coordinate_is_validation_error(self, tmp_path, x):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["image_id,lane_id,x,y", "a,0,10,400", f"a,0,{x},300"])
+        with pytest.raises(ValidationError, match="finite"):
+            load_csv(path, (640, 480))
 
     def test_round_trip(self, tmp_path):
         record = DatasetRecord(

@@ -8,9 +8,12 @@ from lanespace import (
     InvalidAnnotation,
     Lane,
     SamplingGrid,
+    SyntheticSpec,
+    generate_synthetic,
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
+    stripe_ious,
 )
 from lanespace.geometry import stack_lanes, stripe_spans
 
@@ -266,6 +269,16 @@ class TestStripeIou:
     def test_self_iou_with_truncation(self, make_vertical):
         lane = make_vertical(600.0, top_index=20)
         assert stripe_iou(lane, lane, 30) == 1.0
+
+
+class TestStripeIous:
+    def test_table_equals_pixel_counting_against_kmeans_candidates(self, grid, candidates):
+        records = generate_synthetic(SyntheticSpec(count=3, seed=8))
+        lanes = [lane for record in records for lane in record.resampled(grid)][:5]
+        cands = candidates.lanes[:20]
+        pixel = np.array([[stripe_iou_pixelcount(a, b) for b in cands] for a in lanes])
+        assert pixel.any()
+        assert np.array_equal(stripe_ious(lanes, cands), pixel)
 
 
 class TestStripeSpans:

@@ -126,6 +126,18 @@ class TestMatchLanes:
         with pytest.raises(GridMismatch):
             match_lanes([other], [make_vertical(100.0)], 0.5, 30)
 
+    @pytest.mark.parametrize("empty_side", ["predictions", "ground_truth"])
+    @pytest.mark.parametrize(
+        "score",
+        [lambda p, g: match_lanes(p, g, 0.5, 30), lambda p, g: tusimple_score([p], [g])],
+        ids=["match_lanes", "tusimple_score"],
+    )
+    def test_mixed_grids_against_an_empty_side(self, make_vertical, score, empty_side):
+        other_grid = SamplingGrid.uniform(1280, 720, 17)
+        mixed = [make_vertical(100.0), Lane(np.full(17, 100.0), 17, other_grid)]
+        with pytest.raises(GridMismatch):
+            score(*(([], mixed) if empty_side == "predictions" else (mixed, [])))
+
     def test_prediction_order_invariance(self, grid, make_vertical):
         gts = [make_vertical(x) for x in (200.0, 500.0, 800.0)]
         preds = [make_vertical(x) for x in (505.0, 195.0, 790.0)]
