@@ -20,11 +20,10 @@ from .geometry import (
     DEFAULT_STRIPE_WIDTH,
     Lane,
     SamplingGrid,
-    batch_iou_one_vs_many,
+    SpanStack,
+    check_stripe_width,
     lane_arrays,
-    span_envelopes,
     stack_lanes,
-    stripe_spans,
 )
 
 MAX_ITERS = 100  # Lloyd iterations
@@ -52,9 +51,9 @@ class CandidateSet:
     the origin for coefficient-space refinement).
 
     The set is frozen and its arrays are read-only, so its caches stay valid
-    for its lifetime: the stripe spans and their envelopes per width, and the
-    suppression rows per (width, threshold, candidate), kept bit-packed, at
-    most K * K / 8 bytes per (width, threshold).
+    for its lifetime: one SpanStack per stripe width, and the suppression
+    rows per (width, threshold, candidate), kept bit-packed, at most
+    K * K / 8 bytes per (width, threshold).
     """
 
     xs: np.ndarray
@@ -86,28 +85,12 @@ class CandidateSet:
         """The candidates as Lane objects, built anew on every read."""
         return [Lane(xs, top, self.grid) for xs, top in zip(self.xs, self.top_index)]
 
-    def _spans(self, width: int) -> tuple[np.ndarray, ...]:
-        """Cached (k, image_height) stripe start/end stacks and their (k, blocks) envelopes."""
-        key = int(width)
-        if key not in self._span_cache:
-            spans = stripe_spans(self.xs, self.top_index, self.grid, width)
-            self._span_cache[key] = (*spans, *span_envelopes(*spans))
-        return self._span_cache[key]
-
-    def ious(self, span: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
-        """Stripe IoU of one lane's (image_height,) spans against every candidate.
-
-        Bit-equal to batch_iou_one_vs_many against the full span stack: the
-        kernel runs only on the candidates whose span envelope meets the
-        lane's in some block, and no other candidate shares a pixel with the
-        lane, so its IoU is 0.0.
-        """
-        starts, ends, lo, hi = self._spans(width)
-        span_lo, span_hi = span_envelopes(*span)
-        near = np.flatnonzero((np.maximum(lo, span_lo) < np.minimum(hi, span_hi)).any(axis=1))
-        out = np.zeros(self.k)
-        out[near] = batch_iou_one_vs_many(span, (starts[near], ends[near]))
-        return out
+    def spans(self, width: int) -> SpanStack:
+        """The candidates' span stack for one stripe width, built on first use."""
+        check_stripe_width(width)
+        if width not in self._span_cache:
+            self._span_cache[width] = SpanStack.of(self.xs, self.top_index, self.grid, width)
+        return self._span_cache[width]
 
     def suppressed(self, i: int, width: int, threshold: float) -> np.ndarray:
         """Boolean (k,) row: candidates whose stripe IoU with candidate i exceeds threshold.
@@ -115,10 +98,10 @@ class CandidateSet:
         The row depends only on the set, so it is computed once per
         (width, threshold, i) and kept bit-packed.
         """
-        key = (int(width), float(threshold), int(i))
+        spans = self.spans(width)
+        key = (width, float(threshold), int(i))
         if key not in self._row_cache:
-            starts, ends, _, _ = self._spans(width)
-            row = self.ious((starts[i], ends[i]), width) > threshold
+            row = spans.ious(spans[i : i + 1])[0] > threshold
             self._row_cache[key] = np.packbits(row)
         return np.unpackbits(self._row_cache[key], count=self.k).view(bool)
 
@@ -263,6 +246,8 @@ def mean_best_iou(
     if not test_lanes:
         raise EmptyInput("empty test set")
     grid = candidates.grid
-    starts, ends = stripe_spans(*stack_lanes(test_lanes, grid), grid, width)
-    best = [candidates.ious(span, width).max() for span in zip(starts, ends)]
+    spans = candidates.spans(width)
+    tests = SpanStack.of(*stack_lanes(test_lanes, grid), grid, width)
+    # one query row at a time keeps memory at one (k,) row, not a whole table
+    best = [spans.ious(tests[i : i + 1]).max() for i in range(len(tests))]
     return float(np.mean(best))

@@ -40,7 +40,7 @@ from .errors import (
     parse_json,
     read_text,
 )
-from .geometry import Lane, SamplingGrid, stripe_ious
+from .geometry import Lane, SamplingGrid, check_budget, stripe_ious
 from .metrics import f_measure, match_lanes, tusimple_score
 from .oracle import OracleConfig, oracle_scores
 from .pipeline import DetectionConfig, detect_image, uniform_height_grid
@@ -223,8 +223,11 @@ def synth(count, seed, weights, curvature, image_width, image_height, out, fmt):
 @FLAGS["format"]
 def build_basis_cmd(data, samples, rank, image_width, image_height, out, fmt):
     """Build the lane basis from a training annotation file."""
+    records = load_dataset(data, fmt, (image_width, image_height))
+    n_lanes = sum(len(record.lanes) for record in records)
+    check_budget((n_lanes + 1, samples), 8, "grid and lane matrix (lanes + 1 x --samples)")
     grid = SamplingGrid.uniform(image_width, image_height, samples)
-    lanes = _lanes(_records(data, fmt, grid), grid)
+    lanes = _lanes(records, grid)
     basis = build_basis(LaneMatrix.from_lanes(lanes), rank)
     path = _out_path(out)
     save_basis(basis, path)
@@ -350,6 +353,7 @@ def score_oracle(candidates_path, basis_path, data, heights, noise_sigma, iou_fl
     """Score candidates against ground truth (stand-in for a trained model)."""
     basis, candidates = _basis_and_candidates(basis_path, candidates_path)
     records = _records(data, fmt, basis.grid)
+    check_budget((candidates.k, heights), 8, "height distributions (candidates x --heights)")
     height_grid = uniform_height_grid(basis.grid, heights)
     oracle_cfg = OracleConfig(
         iou_floor=iou_floor, noise_sigma=noise_sigma, seed=seed, stripe_width=stripe_width

@@ -8,6 +8,7 @@ annotated extent is preserved in ``top_index``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import GridMismatch, InvalidAnnotation, ValidationError
 DEFAULT_STRIPE_WIDTH = 30
 ENVELOPE_BLOCK_ROWS = 24  # image rows per block of a span envelope
 MAX_IMAGE_SIDE = 2**31 - 1  # stripe spans hold image columns and rows as int32
+MAX_ARRAY_BYTES = 2**28  # largest array an input-controlled size may ask for
 
 
 def check_image_size(width, height) -> None:
@@ -24,6 +26,21 @@ def check_image_size(width, height) -> None:
     for side in (width, height):
         if not isinstance(side, (int, np.integer)) or not 1 <= side <= MAX_IMAGE_SIDE:
             raise ValidationError(f"image size must be two integers in [1, {MAX_IMAGE_SIDE}]")
+
+
+def check_stripe_width(width) -> None:
+    """ValidationError unless width is an integer >= 1 (a bool is not one)."""
+    if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
+        raise ValidationError("stripe width must be an integer >= 1")
+
+
+def check_budget(shape, itemsize: int, what: str) -> None:
+    """ValidationError naming what when an array of shape and itemsize exceeds MAX_ARRAY_BYTES."""
+    shape = tuple(map(int, shape))  # Python ints: exact products, plain message
+    nbytes = math.prod(shape) * itemsize
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValidationError(f"{what} of shape {shape} would take {nbytes} bytes, "
+                              f"over the {MAX_ARRAY_BYTES}-byte limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +211,13 @@ def stripe_spans(
     on a covered row is the ``width`` contiguous pixel columns centered on
     the lane's interpolated x, clipped to [0, image_width). The x on a row
     uses np.interp's arithmetic on the two samples around it, so every lane's
-    row is bit-identical to interpolating that lane on its own.
+    row is bit-identical to interpolating that lane on its own. width must be
+    an integer >= 1, and the (K, image_height) stack must fit MAX_ARRAY_BYTES.
     """
-    if width < 1:
-        raise ValidationError("stripe width must be >= 1")
+    check_stripe_width(width)
     xs = np.asarray(xs, dtype=np.float64)
     k = xs.shape[0]
+    check_budget((k, grid.image_height), 4, "stripe spans (lanes x image rows)")
     start = np.zeros((k, grid.image_height), dtype=np.int32)
     end = np.zeros_like(start)
     y = grid.y_coords
@@ -231,50 +249,69 @@ def stripe_spans(
     return start, end
 
 
-def span_envelopes(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block column bounds of span rows of shape (..., image_height).
+@dataclass(frozen=True, eq=False)
+class SpanStack:
+    """Stripe spans of K lanes with their pixel areas and block envelopes; build with of().
 
-    For each block of ENVELOPE_BLOCK_ROWS image rows (the last block may be
-    shorter), lo is the minimum start and hi the maximum end over the rows
-    the lane covers (start < end). A block with no covered row gets
-    lo == int32 max and hi == 0, so it intersects nothing. Two lanes whose
-    stripes share a pixel on some row have intersecting envelopes in that
-    row's block: max(lo) < min(hi).
+    start and end are stripe_spans' (K, image_height) int32 windows and area
+    the (K,) int64 pixel count of each stripe. lo and hi are (K, blocks): per
+    block of ENVELOPE_BLOCK_ROWS image rows (the last may be shorter), the
+    minimum start and the maximum end over the rows the lane covers, or int32
+    max and 0 when it covers none. Two lanes that share a pixel on some row
+    have envelopes that meet in that row's block: max(lo) < min(hi).
+    stack[rows] selects lanes.
     """
-    covered = end > start
-    empty = np.iinfo(np.int32).max
-    lo = np.where(covered, start, empty)
-    hi = np.where(covered, end, 0)
-    blocks = -(-start.shape[-1] // ENVELOPE_BLOCK_ROWS)
-    pad = [(0, 0)] * (start.ndim - 1) + [(0, blocks * ENVELOPE_BLOCK_ROWS - start.shape[-1])]
-    shape = start.shape[:-1] + (blocks, ENVELOPE_BLOCK_ROWS)
-    lo = np.pad(lo, pad, constant_values=empty).reshape(shape).min(axis=-1)
-    hi = np.pad(hi, pad, constant_values=0).reshape(shape).max(axis=-1)
-    return lo, hi
 
+    start: np.ndarray
+    end: np.ndarray
+    area: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-def batch_iou_one_vs_many(
-    span: tuple[np.ndarray, np.ndarray],
-    many: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """IoU of one lane's spans against a (K, H) span stack, vectorized.
+    @classmethod
+    def of(cls, xs, top_index, grid: SamplingGrid, width: int) -> "SpanStack":
+        """The span stack of lanes xs (K, N) and top_index (K,) sampled on grid."""
+        start, end = stripe_spans(xs, top_index, grid, width)
+        k, height = start.shape
+        blocks = -(-height // ENVELOPE_BLOCK_ROWS)
+        lo = np.full((k, blocks * ENVELOPE_BLOCK_ROWS), np.iinfo(np.int32).max, dtype=np.int32)
+        hi = np.zeros_like(lo)
+        covered = end > start
+        np.copyto(lo[:, :height], start, where=covered)
+        np.copyto(hi[:, :height], end, where=covered)
+        shape = (k, blocks, ENVELOPE_BLOCK_ROWS)
+        arrays = (start, end, (end - start).sum(axis=1),
+                  lo.reshape(shape).min(axis=2), hi.reshape(shape).max(axis=2))
+        for array in arrays:  # read-only: CandidateSet caches stacks for its lifetime
+            array.setflags(write=False)
+        return cls(*arrays)
 
-    Computed in closed form from per-row integer column intervals, which is
-    exactly equivalent to materializing the pixel masks and counting. A pair
-    with an empty union scores 0.0.
-    """
-    s, e = span
-    ms, me = many
-    inter = np.minimum(me, e[None, :]) - np.maximum(ms, s[None, :])
-    np.clip(inter, 0, None, out=inter)
-    inter = inter.sum(axis=1)
-    area = int(np.sum(e - s))
-    areas = (me - ms).sum(axis=1)
-    union = areas + area - inter
-    out = np.zeros(ms.shape[0], dtype=np.float64)
-    nz = union > 0
-    out[nz] = inter[nz] / union[nz]
-    return out
+    def __len__(self) -> int:
+        return self.start.shape[0]
+
+    def __getitem__(self, rows) -> "SpanStack":
+        return SpanStack(self.start[rows], self.end[rows], self.area[rows],
+                         self.lo[rows], self.hi[rows])
+
+    def ious(self, queries: "SpanStack") -> np.ndarray:
+        """Stripe IoU of every (query, lane) pair, shape (len(queries), len(self)).
+
+        Each query row intersects only the lanes whose envelope meets its own
+        in some block; every other lane shares no pixel with it and scores
+        0.0, as does a pair with an empty union. Intersections and areas are
+        integer pixel counts of the per-row column intervals, divided once in
+        float64, so the table equals counting materialized pixel masks.
+        """
+        out = np.zeros((len(queries), len(self)))
+        for q in range(len(queries)):
+            meets = np.maximum(self.lo, queries.lo[q]) < np.minimum(self.hi, queries.hi[q])
+            near = np.flatnonzero(meets.any(axis=1))
+            inter = (np.minimum(self.end[near], queries.end[q])
+                     - np.maximum(self.start[near], queries.start[q]))
+            np.clip(inter, 0, None, out=inter)
+            inter = inter.sum(axis=1)
+            out[q, near] = inter / (self.area[near] + queries.area[q] - inter)
+        return out
 
 
 def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
@@ -285,14 +322,11 @@ def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
     """
     rows, cols = list(rows), list(cols)
     lanes = rows + cols
-    out = np.zeros((len(rows), len(cols)))
-    if lanes:
-        grid = lanes[0].grid
-        starts, ends = stripe_spans(*stack_lanes(lanes, grid), grid, width)
-        n = len(rows)
-        for i in range(n):
-            out[i] = batch_iou_one_vs_many((starts[i], ends[i]), (starts[n:], ends[n:]))
-    return out
+    if not lanes:
+        return np.zeros((0, 0))
+    grid = lanes[0].grid
+    spans = SpanStack.of(*stack_lanes(lanes, grid), grid, width)
+    return spans[len(rows):].ious(spans[: len(rows)])
 
 
 def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .eigenspace import EigenBasis, project
 from .errors import GridMismatch, ValidationError
-from .geometry import DEFAULT_STRIPE_WIDTH, stack_lanes, stripe_spans
+from .geometry import DEFAULT_STRIPE_WIDTH, SpanStack, stack_lanes
 from .pipeline import CandidateScores
 
 # Down-weights the geometric summaries so the activation channel dominates
@@ -81,10 +81,8 @@ def oracle_scores(
     k = candidates.k
     m = basis.m
 
-    gt_starts, gt_ends = stripe_spans(gt_xs, gt_top, grid, config.stripe_width)
-    iou = np.zeros((k, len(gt_lanes)))
-    for j in range(len(gt_lanes)):
-        iou[:, j] = candidates.ious((gt_starts[j], gt_ends[j]), config.stripe_width)
+    width = config.stripe_width
+    iou = candidates.spans(width).ious(SpanStack.of(gt_xs, gt_top, grid, width)).T
 
     offsets = np.zeros((k, m))
     height_dist = np.zeros((k, heights.size))

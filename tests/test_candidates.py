@@ -10,6 +10,7 @@ from lanespace import (
     ClusteringConfig,
     EmptyInput,
     GridMismatch,
+    Lane,
     LaneMatrix,
     SamplingGrid,
     TooManyClusters,
@@ -17,13 +18,37 @@ from lanespace import (
     cluster_lanes,
     lloyd_kmeans,
     mean_best_iou,
+    oracle_scores,
+    project,
     project_columns,
     reconstruct,
     resample_polyline,
     straight_anchor_grid,
     stripe_iou,
+    stripe_ious,
+    uniform_height_grid,
 )
-from lanespace.geometry import batch_iou_one_vs_many, stack_lanes, stripe_spans
+from lanespace.geometry import SpanStack, stack_lanes, stripe_spans
+
+
+def full_kernel(span, many):
+    """Reference IoU of one lane's (image_height,) spans against a whole (K, image_height) stack."""
+    s, e = span
+    ms, me = many
+    inter = np.clip(np.minimum(me, e) - np.maximum(ms, s), 0, None).sum(axis=1)
+    union = (me - ms).sum(axis=1) + int(np.sum(e - s)) - inter
+    out = np.zeros(ms.shape[0])
+    nz = union > 0
+    out[nz] = inter[nz] / union[nz]
+    return out
+
+
+def full_table(rows, cols):
+    """Reference (len(rows), len(cols)) table: full_kernel for each row span against cols."""
+    out = np.zeros((rows[0].shape[0], cols[0].shape[0]))
+    for i, span in enumerate(zip(*rows)):
+        out[i] = full_kernel(span, cols)
+    return out
 
 
 def brute_force_assignment(points, centroids):
@@ -241,7 +266,7 @@ LADDERS = {
 }
 
 
-class TestCandidateSetIous:
+class TestSpanStackIous:
     @pytest.mark.parametrize("k", [1, 9, 200])
     @pytest.mark.parametrize("ladder", list(LADDERS))
     def test_equals_full_kernel(self, ladder, k):
@@ -252,10 +277,10 @@ class TestCandidateSetIous:
         query_xs, query_top = random_stack(rng, grid, 40)
         query_top[:2] = [0, 1]
         for width in (1, 10, 30):
-            full = stripe_spans(xs, top, grid, width)
-            for span in zip(*stripe_spans(query_xs, query_top, grid, width)):
-                assert np.array_equal(cands.ious(span, width),
-                                      batch_iou_one_vs_many(span, full))
+            queries = SpanStack.of(query_xs, query_top, grid, width)
+            expected = full_table(stripe_spans(query_xs, query_top, grid, width),
+                                  stripe_spans(xs, top, grid, width))
+            assert np.array_equal(cands.spans(width).ious(queries), expected)
 
     @pytest.mark.parametrize("ladder", list(LADDERS))
     def test_suppressed_is_the_thresholded_row(self, ladder):
@@ -265,11 +290,72 @@ class TestCandidateSetIous:
         starts, ends = stripe_spans(xs, top, grid, 30)
         for threshold in (0.3, 0.5, 0.3):
             for i in range(60):
-                expected = batch_iou_one_vs_many((starts[i], ends[i]), (starts, ends)) > threshold
+                expected = full_kernel((starts[i], ends[i]), (starts, ends)) > threshold
                 row = cands.suppressed(i, 30, threshold)
                 assert row.dtype == bool
                 assert np.array_equal(row, expected)
                 row[:] = ~row  # the caller's copy, not the memoized row
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_stripe_ious_equals_full_kernel(self, ladder):
+        grid = LADDERS[ladder]
+        xs, top = random_stack(np.random.default_rng(11), grid, 48)
+        lanes = [Lane(x, t, grid) for x, t in zip(xs, top)]
+        for width in (1, 10, 30):
+            spans = stripe_spans(xs, top, grid, width)
+            expected = full_table([a[::2] for a in spans], [a[1::2] for a in spans])
+            assert np.array_equal(stripe_ious(lanes[::2], lanes[1::2], width), expected)
+
+    def test_slices_select_lanes(self):
+        grid = LADDERS["height-250"]
+        xs, top = random_stack(np.random.default_rng(5), grid, 12)
+        stack = SpanStack.of(xs, top, grid, 30)
+        part = SpanStack.of(xs[3:7], top[3:7], grid, 30)
+        assert len(stack) == 12 and len(stack[3:7]) == 4
+        for name in ("start", "end", "area", "lo", "hi"):
+            assert np.array_equal(getattr(stack[3:7], name), getattr(part, name))
+
+    def test_budget_refuses_a_tall_stack_before_allocating(self):
+        tall = SamplingGrid(1280, 10**9, np.linspace(719.0, 252.0, 5))
+        with pytest.raises(ValidationError, match="stripe spans"):
+            SpanStack.of(np.zeros((2, 5)), np.full(2, 5), tall, 30)
+
+
+class TestStripeWidthMustBeAnInteger:
+    @pytest.mark.parametrize("width", [30.5, True, 0])
+    def test_rejected_everywhere_and_cache_stays_clean(self, candidates, train_lanes, width):
+        test = train_lanes[:30]
+        used = dataclasses.replace(candidates)
+        for call in (lambda: mean_best_iou(used, test, width),
+                     lambda: used.suppressed(0, width, 0.5),
+                     lambda: used.spans(width),
+                     lambda: stripe_ious(test[:3], test[3:6], width)):
+            with pytest.raises(ValidationError, match="stripe width"):
+                call()
+        fresh = dataclasses.replace(candidates)
+        for w in (30, 1):
+            assert mean_best_iou(used, test, w) == mean_best_iou(fresh, test, w)
+            assert np.array_equal(used.suppressed(0, w, 0.5), fresh.suppressed(0, w, 0.5))
+
+
+class TestOracleIouTable:
+    def test_equals_per_ground_truth_loop(self, basis, candidates, train_lanes, make_vertical):
+        gt = [*train_lanes[:6], make_vertical(640.0, top_index=0), make_vertical(-4000.0)]
+        grid = basis.grid
+        heights = uniform_height_grid(grid, 25)
+        scores, features = oracle_scores(candidates, gt, basis, heights)
+        cand_spans = stripe_spans(candidates.xs, candidates.top_index, grid, 30)
+        gt_spans = stripe_spans(*stack_lanes(gt, grid), grid, 30)
+        iou = np.column_stack([full_kernel(span, cand_spans) for span in zip(*gt_spans)])
+        assert np.array_equal(scores.probabilities, iou.max(axis=1))
+        best_gt = iou.argmax(axis=1)
+        matched = iou.max(axis=1) > 0.25
+        gt_coeffs = np.array([project(basis, lane) for lane in gt])
+        expected = gt_coeffs[best_gt[matched]] - candidates.coefficients[matched]
+        assert np.array_equal(scores.offsets[matched], expected)
+        winners = iou.argmax(axis=0)
+        champions = winners[iou[winners, np.arange(len(gt))] > 0.25]
+        assert np.array_equal(np.flatnonzero(features.any(axis=1)), np.unique(champions))
 
 
 class TestMeanBestIou:
@@ -314,7 +400,9 @@ class TestMeanBestIou:
             spans = stripe_spans(cands.xs, cands.top_index, grid, width)
             best = np.empty(len(test))
             for i in range(len(test)):
-                best[i] = batch_iou_one_vs_many((starts[i], ends[i]), spans).max()
+                best[i] = full_kernel((starts[i], ends[i]), spans).max()
+            table = cands.spans(width).ious(SpanStack.of(*stack_lanes(test, grid), grid, width))
+            assert np.array_equal(table.max(axis=1), best)
             assert mean_best_iou(cands, test, width) == float(best.mean())
 
     def test_monotone_when_candidates_added(self, basis, candidates, train_lanes):

@@ -253,6 +253,14 @@ BAD_INPUTS = {
                          "--k", "0", "-o", str(tmp / "c.json")], 2),
     "score-oracle-heights-0": (lambda ws, tmp: [*_score(ws, tmp), "--heights", "0"], 2),
     "score-oracle-iou-floor-1.5": (lambda ws, tmp: [*_score(ws, tmp), "--iou-floor", "1.5"], 2),
+    # over the array budget: refused before the array is allocated
+    "score-oracle-heights-1e8": (lambda ws, tmp: [*_score(ws, tmp), "--heights", "100000000"], 2),
+    "build-basis-samples-1e8": (
+        lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--samples", "100000000",
+                         "-o", str(tmp / "b.json")], 2),
+    "candidates-image-height-1e9": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["grid"].update(image_height=10**9)), 2),
     "synth-out-is-directory": (lambda ws, tmp: ["synth", "--count", "2", "-o", str(tmp)], 1),
     "synth-out-under-a-file": (
         lambda ws, tmp: ["synth", "--count", "2", "-o", str(ws["train"] / "x.jsonl")], 1),

@@ -9,13 +9,14 @@ from lanespace import (
     Lane,
     SamplingGrid,
     SyntheticSpec,
+    ValidationError,
     generate_synthetic,
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
     stripe_ious,
 )
-from lanespace.geometry import stack_lanes, stripe_spans
+from lanespace.geometry import MAX_ARRAY_BYTES, check_budget, stack_lanes, stripe_spans
 
 
 def interp_oracle(points, y):
@@ -317,3 +318,12 @@ class TestStripeSpans:
                 start, end = loop_stripe_spans(Lane(xs[k], int(top[k]), grid), width)
                 assert np.array_equal(starts[k], start)
                 assert np.array_equal(ends[k], end)
+
+
+class TestCheckBudget:
+    def test_the_limit_itself_fits(self):
+        check_budget((MAX_ARRAY_BYTES // 4,), 4, "spans")
+
+    def test_one_element_more_is_refused_by_name(self):
+        with pytest.raises(ValidationError, match="height distributions"):
+            check_budget((2, MAX_ARRAY_BYTES // 16 + 1), 8, "height distributions")

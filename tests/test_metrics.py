@@ -227,6 +227,24 @@ class TestTusimpleScore:
         assert report.fpr == 1.0  # 1 incorrect lane out of 1 predicted
         assert report.fnr == 1.0
 
+    def test_offset_of_exactly_the_threshold_counts_false(self, grid, make_vertical):
+        gt_lane = make_vertical(400.0)
+        at = Lane(gt_lane.xs + 20.0, grid.n_samples, grid)  # |dx| < 20 is required
+        report = tusimple_score([[at]], [[gt_lane]])
+        assert report.n_correct == 0
+        assert report.fpr == 1.0
+        assert report.fnr == 1.0
+
+    def test_ground_truth_lane_without_points(self, make_vertical):
+        # the pointless lane scores 0.0 against every prediction, so the
+        # prediction pairs with the full lane and the pointless one is missed
+        gt = [[make_vertical(400.0, top_index=0), make_vertical(400.0)]]
+        report = tusimple_score([[make_vertical(400.0)]], gt)
+        assert report.n_gt_points == 50
+        assert report.n_correct == 50
+        assert report.fpr == 0.0
+        assert report.fnr == 0.5
+
     def test_within_threshold_is_correct(self, grid, make_vertical):
         gt_lane = make_vertical(400.0)
         near = Lane(gt_lane.xs + 19.0, grid.n_samples, grid)
