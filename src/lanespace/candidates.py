@@ -21,6 +21,7 @@ from .geometry import (
     Lane,
     SamplingGrid,
     SpanStack,
+    check_budget,
     check_stripe_width,
     lane_arrays,
     stack_lanes,
@@ -146,11 +147,13 @@ def lloyd_kmeans(
     Returns (centroids, labels, inertia). Deterministic for a fixed seed.
     Empty clusters are repaired by moving their centroid onto the point
     currently farthest from its assigned centroid, so exactly k centroids
-    always come back.
+    always come back. The (points, k) float64 distance matrix of each
+    assignment step must fit MAX_ARRAY_BYTES; that is checked first.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise EmptyInput("no points to cluster")
+    check_budget((len(points), k), 8, "k-means distances (lanes x clusters)")
     distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
         raise TooManyClusters(f"k={k} exceeds {distinct} distinct points")

@@ -19,6 +19,7 @@ DEFAULT_STRIPE_WIDTH = 30
 ENVELOPE_BLOCK_ROWS = 24  # image rows per block of a span envelope
 MAX_IMAGE_SIDE = 2**31 - 1  # stripe spans hold image columns and rows as int32
 MAX_ARRAY_BYTES = 2**28  # largest array an input-controlled size may ask for
+SPAN_CHUNK_CELLS = 2**16  # lane x image-row cells SpanStack.of spans at once
 
 
 def check_image_size(width, height) -> None:
@@ -251,65 +252,89 @@ def stripe_spans(
 
 @dataclass(frozen=True, eq=False)
 class SpanStack:
-    """Stripe spans of K lanes with their pixel areas and block envelopes; build with of().
+    """Stripe spans of K lanes in row blocks, with pixel areas and envelopes; build with of().
 
-    start and end are stripe_spans' (K, image_height) int32 windows and area
-    the (K,) int64 pixel count of each stripe. lo and hi are (K, blocks): per
-    block of ENVELOPE_BLOCK_ROWS image rows (the last may be shorter), the
-    minimum start and the maximum end over the rows the lane covers, or int32
-    max and 0 when it covers none. Two lanes that share a pixel on some row
-    have envelopes that meet in that row's block: max(lo) < min(hi).
-    stack[rows] selects lanes.
+    spans is (K, blocks, 2, ENVELOPE_BLOCK_ROWS) int32: stripe_spans' start
+    (index 0) and end (index 1) windows of each block of image rows, zero
+    past the image's last row. area is the (K,) int64 pixel count of each
+    stripe. lo and hi are (K, blocks): per block, the minimum start and the
+    maximum end over the rows the lane covers, or int32 max and 0 when it
+    covers none. Two lanes that share a pixel on some row have envelopes
+    that meet in that row's block: max(lo) < min(hi). stack[rows] selects
+    lanes.
     """
 
-    start: np.ndarray
-    end: np.ndarray
+    spans: np.ndarray
     area: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     @classmethod
     def of(cls, xs, top_index, grid: SamplingGrid, width: int) -> "SpanStack":
-        """The span stack of lanes xs (K, N) and top_index (K,) sampled on grid."""
-        start, end = stripe_spans(xs, top_index, grid, width)
-        k, height = start.shape
+        """The span stack of lanes xs (K, N) and top_index (K,) sampled on grid.
+
+        The block array must fit MAX_ARRAY_BYTES. stripe_spans runs on chunks
+        of about SPAN_CHUNK_CELLS lane rows, so the build peak is the stack
+        plus one chunk's intermediates, not those of all K lanes at once.
+        """
+        check_stripe_width(width)
+        xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
+        k, height = xs.shape[0], grid.image_height
         blocks = -(-height // ENVELOPE_BLOCK_ROWS)
-        lo = np.full((k, blocks * ENVELOPE_BLOCK_ROWS), np.iinfo(np.int32).max, dtype=np.int32)
-        hi = np.zeros_like(lo)
-        covered = end > start
-        np.copyto(lo[:, :height], start, where=covered)
-        np.copyto(hi[:, :height], end, where=covered)
-        shape = (k, blocks, ENVELOPE_BLOCK_ROWS)
-        arrays = (start, end, (end - start).sum(axis=1),
-                  lo.reshape(shape).min(axis=2), hi.reshape(shape).max(axis=2))
-        for array in arrays:  # read-only: CandidateSet caches stacks for its lifetime
+        shape = (k, blocks, 2, ENVELOPE_BLOCK_ROWS)
+        check_budget(shape, 4, "stripe spans (lanes x blocks x start/end x block rows)")
+        spans = np.zeros(shape, dtype=np.int32)
+        area = np.empty(k, dtype=np.int64)
+        lo = np.empty((k, blocks), dtype=np.int32)
+        hi = np.empty_like(lo)
+        step = max(1, SPAN_CHUNK_CELLS // height)
+        for c in range(0, k, step):
+            lanes = slice(c, c + step)
+            window = np.zeros((2, min(step, k - c), blocks, ENVELOPE_BLOCK_ROWS), dtype=np.int32)
+            flat = window.reshape(2, window.shape[1], -1)
+            flat[0, :, :height], flat[1, :, :height] = stripe_spans(
+                xs[lanes], top_index[lanes], grid, width)
+            start, end = window
+            area[lanes] = (end - start).sum(axis=(1, 2))
+            lo[lanes] = np.where(end > start, start, np.iinfo(np.int32).max).min(axis=2)
+            hi[lanes] = end.max(axis=2)  # stripe_spans zeroes every uncovered row
+            spans[lanes] = window.transpose(1, 2, 0, 3)
+        for array in (spans, area, lo, hi):  # read-only: CandidateSet caches stacks for its lifetime
             array.setflags(write=False)
-        return cls(*arrays)
+        return cls(spans, area, lo, hi)
 
     def __len__(self) -> int:
-        return self.start.shape[0]
+        return self.spans.shape[0]
 
     def __getitem__(self, rows) -> "SpanStack":
-        return SpanStack(self.start[rows], self.end[rows], self.area[rows],
-                         self.lo[rows], self.hi[rows])
+        return SpanStack(self.spans[rows], self.area[rows], self.lo[rows], self.hi[rows])
 
     def ious(self, queries: "SpanStack") -> np.ndarray:
         """Stripe IoU of every (query, lane) pair, shape (len(queries), len(self)).
 
-        Each query row intersects only the lanes whose envelope meets its own
-        in some block; every other lane shares no pixel with it and scores
-        0.0, as does a pair with an empty union. Intersections and areas are
-        integer pixel counts of the per-row column intervals, divided once in
-        float64, so the table equals counting materialized pixel masks.
+        Each query row intersects only the (lane, block) pairs whose
+        envelopes meet; every other pair shares no pixel, and a lane with no
+        such pair scores 0.0, as does a pair with an empty union. Because an
+        uncovered block has lo = int32 max and hi = 0, lo < q.hi and q.lo < hi
+        hold together exactly when the envelopes meet. Intersections and
+        areas are integer pixel counts of the per-row column intervals,
+        divided once in float64, so the table equals counting materialized
+        pixel masks.
         """
-        out = np.zeros((len(queries), len(self)))
+        k, blocks = self.lo.shape
+        blocked = self.spans.reshape(k * blocks, 2, ENVELOPE_BLOCK_ROWS)
+        out = np.zeros((len(queries), k))
         for q in range(len(queries)):
-            meets = np.maximum(self.lo, queries.lo[q]) < np.minimum(self.hi, queries.hi[q])
-            near = np.flatnonzero(meets.any(axis=1))
-            inter = (np.minimum(self.end[near], queries.end[q])
-                     - np.maximum(self.start[near], queries.start[q]))
-            np.clip(inter, 0, None, out=inter)
-            inter = inter.sum(axis=1)
+            meet = np.flatnonzero((self.lo < queries.hi[q]) & (queries.lo[q] < self.hi))
+            lane, block = np.divmod(meet, blocks)
+            mine = blocked.take(meet, axis=0)
+            theirs = queries.spans[q].take(block, axis=0)
+            inter = np.minimum(mine[:, 1], theirs[:, 1])
+            inter -= np.maximum(mine[:, 0], theirs[:, 0])
+            np.maximum(inter, 0, out=inter)
+            first = np.flatnonzero(np.diff(lane, prepend=-1))  # meet is sorted by lane
+            near = lane[first]
+            inter = np.add.reduceat(inter.sum(axis=1), first)
             out[q, near] = inter / (self.area[near] + queries.area[q] - inter)
         return out
 
@@ -326,7 +351,11 @@ def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
         return np.zeros((0, 0))
     grid = lanes[0].grid
     spans = SpanStack.of(*stack_lanes(lanes, grid), grid, width)
-    return spans[len(rows):].ious(spans[: len(rows)])
+    row_spans, col_spans = spans[: len(rows)], spans[len(rows):]
+    # the kernel loops over its queries; the integer IoU is symmetric, so query the smaller side
+    if len(rows) <= len(cols):
+        return col_spans.ious(row_spans)
+    return row_spans.ious(col_spans).T
 
 
 def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:

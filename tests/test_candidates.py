@@ -1,4 +1,6 @@
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +96,13 @@ class TestLloydKmeans:
         points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(TooManyClusters):
             lloyd_kmeans(points, 3, seed=0)
+
+    def test_distance_matrix_budget_refuses_before_allocating(self):
+        points = np.random.default_rng(3).normal(size=(6000, 2))  # (6000, 5800) float64: 278 MB
+        begin = time.perf_counter()
+        with pytest.raises(ValidationError, match="k-means distances"):
+            lloyd_kmeans(points, 5800, seed=0)
+        assert time.perf_counter() - begin < 1.0
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(2)
@@ -263,6 +272,7 @@ LADDERS = {
     "1-row": SamplingGrid(1280, 720, np.array([700.0])),
     "height-100": SamplingGrid(200, 100, np.linspace(99.0, 20.0, 8)),
     "height-250": SamplingGrid(640, 250, np.linspace(249.0, 3.0, 13)),
+    "height-10": SamplingGrid(640, 10, np.linspace(9.0, 0.0, 4)),  # one partial block
 }
 
 
@@ -312,8 +322,53 @@ class TestSpanStackIous:
         stack = SpanStack.of(xs, top, grid, 30)
         part = SpanStack.of(xs[3:7], top[3:7], grid, 30)
         assert len(stack) == 12 and len(stack[3:7]) == 4
-        for name in ("start", "end", "area", "lo", "hi"):
+        for name in ("spans", "area", "lo", "hi"):
             assert np.array_equal(getattr(stack[3:7], name), getattr(part, name))
+
+    def test_pair_meeting_only_in_the_last_partial_block(self):
+        grid = LADDERS["height-250"]  # 10 full blocks, then rows 240-249
+        xs = np.stack([np.full(13, 100.0), 100.0 + 5.0 * (grid.y_coords[0] - grid.y_coords)])
+        top = np.full(2, 13)
+        stack = SpanStack.of(xs, top, grid, 30)
+        meets = np.maximum(stack.lo[0], stack.lo[1]) < np.minimum(stack.hi[0], stack.hi[1])
+        assert np.array_equal(np.flatnonzero(meets), [10])
+        expected = full_table(stripe_spans(xs[1:], top[1:], grid, 30),
+                              stripe_spans(xs[:1], top[:1], grid, 30))
+        assert 0.0 < expected[0, 0] < 1.0
+        assert np.array_equal(stack[:1].ious(stack[1:]), expected)
+        assert np.array_equal(stack[1:].ious(stack[:1]), expected)
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_query_without_covered_rows_scores_zero(self, ladder):
+        grid = LADDERS[ladder]
+        xs, top = random_stack(np.random.default_rng(8), grid, 30)
+        stack = SpanStack.of(xs, top, grid, 30)
+        empty = SpanStack.of(np.stack([xs[0], xs[0] - 10**6]), [0, grid.n_samples], grid, 30)
+        assert not empty.area.any()
+        assert np.array_equal(stack.ious(empty), np.zeros((2, 30)))
+        assert np.array_equal(empty.ious(stack), np.zeros((30, 2)))
+
+    @pytest.mark.parametrize("sizes", [(1, 14), (14, 1), (14, 4)])
+    def test_stripe_ious_is_symmetric(self, sizes):
+        grid = LADDERS["50-rows"]
+        xs, top = random_stack(np.random.default_rng(sum(sizes)), grid, sum(sizes))
+        lanes = [Lane(x, t, grid) for x, t in zip(xs, top)]
+        a, b = lanes[: sizes[0]], lanes[sizes[0] :]
+        assert np.array_equal(stripe_ious(a, b), stripe_ious(b, a).T)
+        assert stripe_ious(a, b).shape == sizes
+
+    def test_build_peak_stays_near_the_stack(self):
+        grid = SamplingGrid(1280, 4000, np.linspace(3999.0, 1400.0, 50))
+        xs, top = random_stack(np.random.default_rng(4), grid, 1000)
+        tracemalloc.start()
+        try:
+            stack = SpanStack.of(xs, top, grid, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(array.nbytes for array in (stack.spans, stack.area, stack.lo, stack.hi))
+        assert own > 30e6
+        assert peak < 1.25 * own  # spanning all 1000 lanes at once peaked at 4.2x
 
     def test_budget_refuses_a_tall_stack_before_allocating(self):
         tall = SamplingGrid(1280, 10**9, np.linspace(719.0, 252.0, 5))
