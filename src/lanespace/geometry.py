@@ -342,8 +342,9 @@ class SpanStack:
 def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
     """Stripe IoU of every (row lane, column lane) pair, shape (len(rows), len(cols)).
 
-    Both sides are stacked and spanned once. Raises GridMismatch when the
-    lanes were sampled on more than one grid, even if one side is empty.
+    Both sides are stacked and spanned once, and the shorter side is the
+    kernel's queries. Raises GridMismatch when the lanes were sampled on more
+    than one grid, even if one side is empty.
     """
     rows, cols = list(rows), list(cols)
     lanes = rows + cols
@@ -351,11 +352,9 @@ def stripe_ious(rows, cols, width: int = DEFAULT_STRIPE_WIDTH) -> np.ndarray:
         return np.zeros((0, 0))
     grid = lanes[0].grid
     spans = SpanStack.of(*stack_lanes(lanes, grid), grid, width)
-    row_spans, col_spans = spans[: len(rows)], spans[len(rows):]
-    # the kernel loops over its queries; the integer IoU is symmetric, so query the smaller side
-    if len(rows) <= len(cols):
-        return col_spans.ious(row_spans)
-    return row_spans.ious(col_spans).T
+    if len(rows) <= len(cols):  # ious loops over its queries, and the integer IoU is symmetric
+        return spans[len(rows):].ious(spans[: len(rows)])
+    return spans[: len(rows)].ious(spans[len(rows):]).T
 
 
 def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
