@@ -50,7 +50,7 @@ class TooManyClusters(ValidationError):
 
 
 class TooManyNodes(ValidationError):
-    """Graph too large for exact clique enumeration."""
+    """Graph too large for the exact clique search."""
 
 
 class EmptyInput(ValidationError):

@@ -20,8 +20,9 @@ from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
 from .eigenspace import EigenBasis
 from .geometry import DEFAULT_STRIPE_WIDTH, Lane
 
-# Exact clique enumeration is only reasonable for small graphs; NMS keeps
-# the node count at T (default 10) anyway.
+# The exact clique search is a branch and bound whose worst case still
+# grows as 2^T (mixed-sign complete graphs at kappa=-1 take seconds at 25);
+# NMS keeps the node count at T (default 10) anyway.
 MAX_CLIQUE_NODES = 25
 
 # A relation matrix is a dense (T, T) float array with entries in [-1, 1].
@@ -158,11 +159,16 @@ def mwcs(
     of size >= 2 the one with the largest total edge weight wins (ties: more
     members, then lexicographically smallest index set). When no feasible
     clique exists the highest-probability single node is returned.
+
+    The search is a depth-first branch and bound in ascending node order: a
+    subtree is skipped only when an upper bound on its cliques' weight, plus
+    a rounding allowance, shows that none of them can tie or beat the best
+    clique found so far, so the result is the full enumeration's, bit for bit.
     """
     w = _edge_weights(relation)
     t = w.shape[0]
     if t > MAX_CLIQUE_NODES:
-        raise TooManyNodes(f"T={t} exceeds exact-enumeration bound {MAX_CLIQUE_NODES}")
+        raise TooManyNodes(f"T={t} exceeds the exact clique search bound {MAX_CLIQUE_NODES}")
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.shape != (t,):
         raise DimensionMismatch("need one probability per node")
@@ -174,26 +180,46 @@ def mwcs(
         sum(1 << j for j, x in enumerate(row) if j != i and x > kappa)
         for i, row in enumerate(rows)
     ]
+    # allowed edges from each node to higher nodes, for the bound
+    ups = [
+        [(j, x) for j, x in enumerate(row[i + 1:], i + 1) if adj[i] >> j & 1]
+        for i, row in enumerate(rows)
+    ]
+    # every clique sum and every bound adds at most ~300 of the allowed edges
+    # in some order, so neither strays from its exact value by more than
+    # ~1e-13 of their absolute mass; the bound gets ten times that as slack
+    slack = 1e-12 * sum(abs(x) for up in ups for _, x in up)
     # (weight, size, negated members): max prefers the heavier clique, then
     # the larger one, then the lexicographically smallest index set
     best = (-math.inf, 0, ())
 
-    def extend(members: tuple[int, ...], weight: float, allowed: int):
-        # `allowed` holds nodes > members[-1] adjacent to every member
+    def extend(members: tuple[int, ...], weight: float, allowed: int, gains: list[float]):
+        # `allowed` holds nodes > members[-1] adjacent to every member;
+        # gains[v] is v's edge weight to the members, added in member order
         nonlocal best
+        # a lone remaining node costs less to visit than to bound
+        if members and allowed & (allowed - 1):
+            rest = [v for v in range(t) if allowed >> v & 1]
+            bound = (weight + sum(g for v in rest if (g := gains[v]) > 0)
+                     + sum(x for v in rest for u, x in ups[v] if x > 0 and allowed >> u & 1)
+                     + slack)
+            # no clique in this subtree can tie the best on weight and size
+            if bound < best[0] or bound == best[0] and len(members) + len(rest) < best[1]:
+                return
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             node = low.bit_length() - 1
-            row = rows[node]
             grown = members + (node,)
-            total = weight + sum(row[m] for m in members)
+            # gains[node] is sum(rows[node][m] for m in members), bit for bit
+            total = weight + gains[node]
             if members:
                 best = max(best, (total, len(grown), tuple(-m for m in grown)))
             # what is left of `allowed` lies above node
-            extend(grown, total, allowed & adj[node])
+            if deeper := allowed & adj[node]:
+                extend(grown, total, deeper, [g + x for g, x in zip(gains, rows[node])])
 
-    extend((), 0.0, (1 << t) - 1)
+    extend((), 0.0, (1 << t) - 1, [0.0] * t)
     if best[1]:
         return CliqueResult(tuple(-m for m in best[2]), best[0])
     fallback = int(np.argmax(probs))
@@ -254,6 +280,15 @@ class DetectionConfig:
     min_probability: float = 0.0
     use_offsets: bool = True
     use_heights: bool = True
+
+    def __post_init__(self):
+        # checked up front: mwcs alone would refuse them only after NMS on some image
+        if self.t < 1:
+            raise ValidationError("t must be >= 1")
+        if self.t > MAX_CLIQUE_NODES:
+            raise TooManyNodes(f"t={self.t} exceeds the exact clique search bound {MAX_CLIQUE_NODES}")
+        if not -1.0 <= self.kappa <= 1.0:
+            raise ValidationError("kappa must be in [-1, 1]")
 
 
 def detect_image(

@@ -158,6 +158,16 @@ class TestValidationBehaviour:
         assert result.exit_code == 2
         assert "different basis" in result.output
 
+    @pytest.mark.parametrize("flag, value", [("--t", "26"), ("--kappa", "2")])
+    def test_clique_settings_fail_before_scores_are_read(
+        self, runner, workspace, tmp_path, flag, value
+    ):
+        missing = str(tmp_path / "no_scores.jsonl")
+        result = runner.invoke(main, [*_detect(workspace, tmp_path, missing), flag, value])
+        assert result.exit_code == 2, result.output
+        assert flag.lstrip("-") in result.output
+        assert "no_scores" not in result.output
+
     def test_bad_dataset_is_validation_error(self, runner, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
@@ -244,6 +254,7 @@ def _build_basis_on_line(tmp_path, **fields):
 BAD_INPUTS = {
     "detect-t-0": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "0"], 2),
     "detect-kappa-2": (lambda ws, tmp: [*_detect(ws, tmp), "--kappa", "2"], 2),
+    "detect-t-26": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "26"], 2),
     "build-basis-rank-0": (
         lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--rank", "0",
                          "-o", str(tmp / "b.json")], 2),

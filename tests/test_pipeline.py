@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -10,9 +11,11 @@ from lanespace import (
     CandidateScores,
     CandidateSet,
     CliqueResult,
+    DetectionConfig,
     DimensionMismatch,
     Lane,
     TooManyNodes,
+    ValidationError,
     finalize,
     mwcs,
     nms_select,
@@ -79,6 +82,28 @@ def reference_mwcs(relation, probabilities, kappa):
     if best is None:
         return (int(np.argmax(probabilities)),), 0.0
     return tuple(-m for m in best[2]), float(best[0])
+
+
+def dense_cosine_relation(rng, t, noise):
+    """Cosines of noisy features around one shared direction.
+
+    Noise 0.9 relates about nine in ten pairs; 2.5 leaves sparser graphs with
+    negative edges. The cosines are not dyadic, so sums must follow one order.
+    """
+    direction = rng.normal(size=11)
+    features = direction / np.linalg.norm(direction) + noise * rng.normal(
+        size=(t, 11)
+    ) / np.sqrt(11)
+    return relation_from_features(features)
+
+
+def assert_matches_reference(relation, probabilities, kappa):
+    """mwcs returns reference_mwcs's members and its weight, bit for bit."""
+    expected_members, expected_weight = reference_mwcs(relation, probabilities, kappa)
+    result = mwcs(relation, probabilities, kappa)
+    assert result.member_indices == expected_members
+    assert result.compatibility == expected_weight
+    return result
 
 
 def clique_weight(relation, members):
@@ -287,22 +312,13 @@ class TestMwcs:
 
     @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.3])
     def test_matches_reference_on_dense_cosine_graphs(self, kappa):
-        # noisy features around one shared direction: noise 0.9 relates about
-        # nine in ten pairs, 2.5 leaves sparser graphs with negative edges;
-        # their cosines are not dyadic, so sums must follow the same order
+        # T=17 and 18 give the pruning the most subtrees to skip
         rng = np.random.default_rng(14)
-        for t in range(13, 17):
+        for t in range(13, 19):
             for noise in (0.9, 2.5):
-                direction = rng.normal(size=11)
-                features = direction / np.linalg.norm(direction) + noise * rng.normal(
-                    size=(t, 11)
-                ) / np.sqrt(11)
-                relation = relation_from_features(features)
+                relation = dense_cosine_relation(rng, t, noise)
                 probs = rng.uniform(size=t)
-                expected_members, expected_weight = reference_mwcs(relation, probs, kappa)
-                result = mwcs(relation, probs, kappa)
-                assert result.member_indices == expected_members
-                assert result.compatibility == expected_weight
+                assert_matches_reference(relation, probs, kappa)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -327,6 +343,68 @@ class TestMwcs:
         if len(result.member_indices) >= 2:
             for i, j in itertools.combinations(result.member_indices, 2):
                 assert w[i, j] > kappa
+
+    def test_all_zero_weights_pick_the_full_set(self):
+        # every clique ties at weight 0, so only the size decides
+        assert_matches_reference(np.zeros((10, 10)), np.zeros(10), -0.5)
+        assert mwcs(np.zeros((10, 10)), np.zeros(10), -0.5).member_indices == tuple(range(10))
+
+    def test_all_equal_weights(self):
+        assert_matches_reference(np.full((10, 10), 0.25), np.zeros(10), 0.0)
+
+    def test_disjoint_equal_blocks_pick_the_lexicographically_smallest(self):
+        # three interleaved triangles of equal weight; cross edges sit at kappa
+        w = np.zeros((9, 9))
+        for block in ((1, 4, 7), (0, 5, 6), (2, 3, 8)):
+            for i, j in itertools.combinations(block, 2):
+                w[i, j] = w[j, i] = 0.5
+        result = assert_matches_reference(w, np.zeros(9), 0.0)
+        assert result.member_indices == (0, 5, 6)
+
+    def test_equal_weight_larger_clique_found_later_wins(self):
+        # {0, 1} weighs 0.5 first; {2, 3, 4} ties it with 0.25 + 0.25 + 0
+        w = np.full((5, 5), -0.5)
+        w[0, 1] = w[1, 0] = 0.5
+        w[2, 3] = w[3, 2] = w[2, 4] = w[4, 2] = 0.25
+        w[3, 4] = w[4, 3] = 0.0
+        result = assert_matches_reference(w, np.zeros(5), -0.1)
+        assert result.member_indices == (2, 3, 4)
+
+    def test_tiny_edges_rounding_above_the_bound_still_win(self):
+        # {2, 3, 4, 5} sums to 0.5 + 1.2 ulp exactly, but adding its gains in
+        # member order rounds up twice to 0.5 + 2 ulp, the weight of {0, 1};
+        # the bound adds the same edges in another order and lands on
+        # 0.5 + 1 ulp, so only the rounding allowance keeps it alive
+        ulp = 2.0**-53
+        w = np.zeros((6, 6))
+        w[0, 1] = 0.5 + 2 * ulp
+        w[2, 3] = 0.5
+        w[2, 4] = w[3, 4] = 0.3 * ulp
+        w[2, 5] = w[3, 5] = w[4, 5] = 0.2 * ulp
+        w = w + w.T
+        result = assert_matches_reference(w, np.zeros(6), 0.0)
+        assert result.member_indices == (2, 3, 4, 5)
+        assert result.compatibility == 0.5 + 2 * ulp
+
+    @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.3])
+    def test_dense_cosine_graphs_at_the_node_limit_finish_in_time(self, kappa):
+        # full enumeration takes about a minute per graph here; the branch
+        # and bound needs well under 0.2 s on a 2-core x86 machine
+        rng = np.random.default_rng(25)
+        for noise in (0.9, 0.9, 2.5, 2.5):
+            relation = dense_cosine_relation(rng, MAX_CLIQUE_NODES, noise)
+            start = time.perf_counter()
+            result = mwcs(relation, rng.uniform(size=MAX_CLIQUE_NODES), kappa)
+            assert time.perf_counter() - start < 2.0
+            for i, j in itertools.combinations(result.member_indices, 2):
+                assert 0.5 * (relation[i, j] + relation[j, i]) > kappa
+
+    def test_all_zero_graph_at_the_node_limit_finishes_in_time(self):
+        t = MAX_CLIQUE_NODES
+        start = time.perf_counter()
+        result = mwcs(np.zeros((t, t)), np.zeros(t), kappa=-0.5)
+        assert time.perf_counter() - start < 2.0
+        assert result == CliqueResult(tuple(range(t)), 0.0)
 
     def test_tie_prefers_larger_then_lexicographic(self):
         # two disjoint 2-cliques with equal weight; then a 3-clique variant
@@ -427,3 +505,23 @@ class TestCandidateScoresValidation:
         height = np.full((k, 4), 0.3)
         with pytest.raises(ValueError):
             CandidateScores(np.full(k, 0.5), height, np.zeros((k, basis.m)))
+
+
+class TestDetectionConfigValidation:
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"t": 0}, ValidationError),
+            ({"t": MAX_CLIQUE_NODES + 1}, TooManyNodes),
+            ({"kappa": 2.0}, ValidationError),
+            ({"kappa": -1.5}, ValidationError),
+            ({"kappa": float("nan")}, ValidationError),
+        ],
+    )
+    def test_rejects_clique_settings_out_of_range(self, fields, error):
+        with pytest.raises(error):
+            DetectionConfig(**fields)
+
+    def test_accepts_the_range_ends(self):
+        DetectionConfig(t=1, kappa=-1.0)
+        DetectionConfig(t=MAX_CLIQUE_NODES, kappa=1.0)
