@@ -32,14 +32,19 @@ TOLERANCE = 1e-6  # centroid shift that ends the iterations, pixels
 MAX_ANCHOR_ANGLE_DEG = 75.0  # straight anchors span +-this angle from vertical
 
 
+def check_k(k) -> None:
+    """ValidationError unless the cluster count k is an integer >= 1 (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError("k must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     k: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        check_k(self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +135,13 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # squared Euclidean distances; argmin resolves ties to the lowest index
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
+    # squared Euclidean distances |p|^2 - 2 p.c + |c|^2, built in the one
+    # (points, k) matrix; argmin resolves ties to the lowest index. The
+    # product is one call: row-blocked products round differently in BLAS.
+    d2 = points @ centroids.T
+    d2 *= 2.0
+    np.subtract(np.sum(points**2, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(centroids**2, axis=1)
     return np.argmin(d2, axis=1)
 
 
@@ -147,12 +153,14 @@ def lloyd_kmeans(
     Returns (centroids, labels, inertia). Deterministic for a fixed seed.
     Empty clusters are repaired by moving their centroid onto the point
     currently farthest from its assigned centroid, so exactly k centroids
-    always come back. The (points, k) float64 distance matrix of each
-    assignment step must fit MAX_ARRAY_BYTES; that is checked first.
+    always come back. k must be an integer >= 1. Each assignment step
+    allocates exactly one (points, k) float64 distance matrix and fills it
+    in place; that matrix must fit MAX_ARRAY_BYTES, checked before any work.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise EmptyInput("no points to cluster")
+    check_k(k)
     check_budget((len(points), k), 8, "k-means distances (lanes x clusters)")
     distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
@@ -165,9 +173,10 @@ def lloyd_kmeans(
         # update step
         new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                new_centroids[j] = points[labels == j].mean(axis=0)
+        # member sums in point order, from +0.0, exactly as mean(axis=0) adds
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in points.T], axis=1)
+        full = counts > 0
+        new_centroids[full] = sums[full] / counts[full, None]
         # repair empty clusters deterministically
         empty = np.nonzero(counts == 0)[0]
         if empty.size:

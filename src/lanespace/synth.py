@@ -102,7 +102,7 @@ def _s_curve_lanes(rng, spec, bottoms, y_tops):
     for i in range(1, len(ys)):
         k = k1 if ys[i - 1] > y_inflect else k2
         m = m - k * (1.0 + m * m) ** 1.5 * (-step)
-        m = float(np.clip(m, -2.5, 2.5))
+        m = min(max(m, -2.5), 2.5)
         xs_rel[i] = xs_rel[i - 1] + m * (ys[i] - ys[i - 1])
     lanes = []
     for xb, y_top in zip(bottoms, y_tops):

@@ -30,6 +30,7 @@ from lanespace import (
     stripe_ious,
     uniform_height_grid,
 )
+from lanespace.candidates import MAX_ITERS, TOLERANCE, _assign, _kmeans_plus_plus
 from lanespace.geometry import SpanStack, stack_lanes, stripe_spans
 
 
@@ -129,6 +130,131 @@ class TestLloydKmeans:
         # after repair no cluster may stay empty unless points coincide
         counts = np.bincount(labels, minlength=k)
         assert np.all(counts >= 1)
+
+
+def reference_lloyd(points, k, seed):
+    """Reference k-means: three (points, k) temporaries per assignment, one mean per cluster.
+
+    Returns (centroids, labels, objective, repairs), repairs counting the
+    empty clusters moved onto far points.
+    """
+    def assign(centroids):
+        d2 = (
+            np.sum(points**2, axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + np.sum(centroids**2, axis=1)[None, :]
+        )
+        return np.argmin(d2, axis=1)
+
+    points = np.asarray(points, dtype=np.float64)
+    centroids = _kmeans_plus_plus(points, k, np.random.default_rng(seed))
+    labels = assign(centroids)
+    repairs = 0
+    for _ in range(MAX_ITERS):
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                new_centroids[j] = points[labels == j].mean(axis=0)
+        empty = np.nonzero(counts == 0)[0]
+        if empty.size:
+            repairs += empty.size
+            dist_own = np.sum((points - new_centroids[labels]) ** 2, axis=1)
+            farthest = np.argsort(dist_own, kind="stable")[::-1]
+            new_centroids[empty] = points[farthest[: empty.size]]
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        labels = assign(centroids)
+        objective = float(np.sum((points - centroids[labels]) ** 2))
+        if shift < TOLERANCE:
+            break
+    return centroids, labels, objective, repairs
+
+
+def repair_points():
+    """Duplicated points on a line on which one cluster empties and is repaired.
+
+    With seed 406 the seeding picks x = 0, 1.0 and 1.3; after one update the
+    cluster seeded at 1.0 (members 0.6 and 1.0, mean 0.8) loses 0.6 to the
+    mean of the 0.45s and 1.0 to the mean of the 1.16s.
+    """
+    x = [0.0] + [0.45] * 20 + [0.6, 1.0] + [1.16] * 3 + [1.3]
+    return np.column_stack([x, np.zeros(len(x))])
+
+
+def signed_zero_points():
+    """Two far groups; every member of the second holds -0.0 in its last coordinate."""
+    rng = np.random.default_rng(12)
+    near = rng.normal(size=(30, 3))
+    far = rng.normal(loc=100.0, size=(30, 3))
+    far[:, 2] = -0.0
+    return np.vstack([near, far])
+
+
+EXACTNESS_CASES = {
+    "normals-k1": (lambda: np.random.default_rng(0).normal(size=(200, 6)), 1, 2, 0),
+    "normals-k7": (lambda: np.random.default_rng(1).normal(size=(400, 6)), 7, 5, 0),
+    "normals-k50": (lambda: np.random.default_rng(2).normal(size=(1500, 6)), 50, 3, 0),
+    "duplicates": (repair_points, 3, 406, 1),
+    "signed-zero": (signed_zero_points, 2, 0, 0),
+}
+
+
+class TestLloydKmeansExactness:
+    @pytest.mark.parametrize("case", list(EXACTNESS_CASES))
+    def test_byte_equal_to_reference(self, case):
+        make, k, seed, min_repairs = EXACTNESS_CASES[case]
+        points = make()
+        ref_centroids, ref_labels, ref_objective, repairs = reference_lloyd(points, k, seed)
+        assert repairs >= min_repairs
+        centroids, labels, objective = lloyd_kmeans(points, k, seed)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        assert np.array_equal(labels, ref_labels)
+        assert objective.hex() == ref_objective.hex()
+
+    def test_all_negative_zero_member_coordinate_averages_to_positive_zero(self):
+        points = signed_zero_points()
+        centroids, labels, _ = lloyd_kmeans(points, 2, seed=0)
+        far = labels[-1]
+        assert np.all(labels[30:] == far) and not np.any(labels[:30] == far)
+        assert centroids[far, 2] == 0.0 and not np.signbit(centroids[far, 2])
+
+    def test_duplicate_centroids_tie_to_the_lowest_index(self):
+        centroids = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [0.1, 0.0], [0.9, 1.0]])
+        assert np.array_equal(_assign(points, centroids), [1, 0, 1, 0])
+
+    def test_peak_memory_is_one_distance_matrix(self):
+        points = np.random.default_rng(6).normal(size=(4000, 6))
+        k = 800
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(points, k, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (points, k) float64 matrix per step; three temporaries peaked at 2.04x
+        assert peak < 1.25 * points.shape[0] * k * 8
+
+
+class TestClusterCountMustBeAnInteger:
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3", None])
+    def test_rejected_by_kmeans_and_config(self, k):
+        points = np.random.default_rng(0).normal(size=(20, 2))
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            lloyd_kmeans(points, k)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            ClusteringConfig(k=k)
+
+    def test_refused_before_the_budget_check(self):
+        points = np.random.default_rng(3).normal(size=(6000, 2))
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            lloyd_kmeans(points, 5800.0)
+
+    def test_numpy_integers_are_accepted(self):
+        points = np.random.default_rng(0).normal(size=(20, 2))
+        assert lloyd_kmeans(points, np.int64(3))[0].shape == (3, 2)
+        assert ClusteringConfig(k=np.int32(3)).k == 3
 
 
 class TestClusterLanes:

@@ -2,6 +2,32 @@ import numpy as np
 import pytest
 
 from lanespace import SamplingGrid, SyntheticSpec, generate_synthetic, resample_polyline
+from lanespace.synth import _s_curve_lanes
+
+
+def reference_s_curve_lanes(rng, spec, bottoms, y_tops):
+    """Reference S-curve integrator that clamps the slope with np.clip."""
+    _, h = spec.image_size
+    k1 = rng.uniform(*spec.curvature_range) * (1.0 if rng.random() < 0.5 else -1.0)
+    k2 = -k1 * rng.uniform(0.8, 1.2)
+    slope0 = rng.uniform(-0.15, 0.15)
+    span_top = min(y_tops)
+    y_inflect = rng.uniform(span_top + 0.25 * (h - 1 - span_top), h - 1 - 0.25 * (h - 1 - span_top))
+    step = 4.0
+    ys = np.arange(h - 1.0, span_top, -step)
+    xs_rel = np.empty_like(ys)
+    xs_rel[0] = 0.0
+    m = slope0
+    for i in range(1, len(ys)):
+        k = k1 if ys[i - 1] > y_inflect else k2
+        m = m - k * (1.0 + m * m) ** 1.5 * (-step)
+        m = float(np.clip(m, -2.5, 2.5))
+        xs_rel[i] = xs_rel[i - 1] + m * (ys[i] - ys[i - 1])
+    lanes = []
+    for xb, y_top in zip(bottoms, y_tops):
+        keep = ys > y_top
+        lanes.append(np.column_stack([xb + xs_rel[keep], ys[keep]]))
+    return lanes
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +98,23 @@ class TestGenerateSynthetic:
             if signs.size and signs.min() < 0 < signs.max():
                 found_sign_change += 1
         assert found_sign_change >= 12  # short lanes may clip one arm
+
+    @pytest.mark.parametrize("curvature_range", [(1.8e-3, 3.5e-3), (0.02, 0.03)])
+    def test_s_curve_bit_equal_to_clip_reference(self, curvature_range):
+        spec = SyntheticSpec(count=1, curvature_range=curvature_range)
+        clamped = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            bottoms = rng.uniform(200.0, 1000.0, size=3)
+            y_tops = rng.uniform(250.0, 330.0, size=3)
+            state = rng.bit_generator.state
+            want = reference_s_curve_lanes(rng, spec, bottoms, y_tops)
+            rng.bit_generator.state = state
+            got = _s_curve_lanes(rng, spec, bottoms, y_tops)
+            assert [lane.tobytes() for lane in got] == [lane.tobytes() for lane in want]
+            slopes = np.abs(np.diff(want[0][:, 0]) / np.diff(want[0][:, 1]))
+            clamped += bool(np.any(np.isclose(slopes, 2.5)))
+        assert clamped > 0  # some records reach the +-2.5 slope clamp
 
     def test_lanes_inside_image(self, records):
         for record in records:
