@@ -101,7 +101,9 @@ def _apply_config(ctx, param, path):
     unknown = set(defaults) - set(FLAGS)
     if unknown:
         raise SchemaError(f"config has unknown keys: {sorted(unknown)}")
-    ctx.default_map = {("fmt" if key == "format" else key): v for key, v in defaults.items()}
+    # as the text a flag would carry, so that INT refuses 2.5 and true instead
+    # of truncating them, exactly as it refuses --k 2.5
+    ctx.default_map = {("fmt" if key == "format" else key): str(v) for key, v in defaults.items()}
 
 
 config_option = click.option(

@@ -11,6 +11,7 @@ through the scores contract.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .eigenspace import EigenBasis
 from .geometry import DEFAULT_STRIPE_WIDTH, Lane
 
 # The exact clique search is a branch and bound whose worst case still
-# grows as 2^T (mixed-sign complete graphs at kappa=-1 take seconds at 25);
+# grows as 2^T (mixed-sign complete graphs at kappa=-1 take ~1 s at 25);
 # NMS keeps the node count at T (default 10) anyway.
 MAX_CLIQUE_NODES = 25
 
@@ -164,6 +165,10 @@ def mwcs(
     subtree is skipped only when an upper bound on its cliques' weight, plus
     a rounding allowance, shows that none of them can tie or beat the best
     clique found so far, so the result is the full enumeration's, bit for bit.
+    Before entering a subtree the parent tries a cheap bound: the weight so
+    far, the positive gains of the remaining nodes, and every positive
+    allowed edge from a remaining node to any higher node. Only if that fails
+    does it count just the positive edges among the remaining nodes.
     """
     w = _edge_weights(relation)
     t = w.shape[0]
@@ -180,15 +185,18 @@ def mwcs(
         sum(1 << j for j, x in enumerate(row) if j != i and x > kappa)
         for i, row in enumerate(rows)
     ]
-    # allowed edges from each node to higher nodes, for the bound
+    # allowed edges from each node to higher nodes
     ups = [
-        [(j, x) for j, x in enumerate(row[i + 1:], i + 1) if adj[i] >> j & 1]
+        [(1 << j, x) for j, x in enumerate(row[i + 1:], i + 1) if adj[i] >> j & 1]
         for i, row in enumerate(rows)
     ]
     # every clique sum and every bound adds at most ~300 of the allowed edges
     # in some order, so neither strays from its exact value by more than
-    # ~1e-13 of their absolute mass; the bound gets ten times that as slack
+    # ~1e-13 of their absolute mass; the bounds get ten times that as slack
     slack = 1e-12 * sum(abs(x) for up in ups for _, x in up)
+    ups = [[(bit, x) for bit, x in up if x > 0] for up in ups]
+    # every positive allowed edge from v upwards, wherever it leads
+    reach = [sum(x for _, x in up) for up in ups]
     # (weight, size, negated members): max prefers the heavier clique, then
     # the larger one, then the lexicographically smallest index set
     best = (-math.inf, 0, ())
@@ -197,27 +205,42 @@ def mwcs(
         # `allowed` holds nodes > members[-1] adjacent to every member;
         # gains[v] is v's edge weight to the members, added in member order
         nonlocal best
-        # a lone remaining node costs less to visit than to bound
-        if members and allowed & (allowed - 1):
-            rest = [v for v in range(t) if allowed >> v & 1]
-            bound = (weight + sum(g for v in rest if (g := gains[v]) > 0)
-                     + sum(x for v in rest for u, x in ups[v] if x > 0 and allowed >> u & 1)
-                     + slack)
-            # no clique in this subtree can tie the best on weight and size
-            if bound < best[0] or bound == best[0] and len(members) + len(rest) < best[1]:
-                return
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             node = low.bit_length() - 1
-            grown = members + (node,)
             # gains[node] is sum(rows[node][m] for m in members), bit for bit
             total = weight + gains[node]
-            if members:
+            if members and total >= best[0]:
+                grown = members + (node,)
                 best = max(best, (total, len(grown), tuple(-m for m in grown)))
             # what is left of `allowed` lies above node
-            if deeper := allowed & adj[node]:
-                extend(grown, total, deeper, [g + x for g, x in zip(gains, rows[node])])
+            if not (deeper := allowed & adj[node]):
+                continue
+            row = rows[node]
+            # a lone remaining node costs less to visit than to bound
+            if deeper & (deeper - 1):
+                # the child's positive gains, each rounded as the child will
+                # hold it, and every positive up-edge of the remaining nodes
+                head, far, rest, bits = total, slack, [], deeper
+                while bits:
+                    v = (bits & -bits).bit_length() - 1
+                    bits &= bits - 1
+                    rest.append(v)
+                    if (g := gains[v] + row[v]) > 0:
+                        head += g
+                    far += reach[v]
+                # skip the subtree if no clique in it can tie the best on weight
+                # and size; only when the cheap bound fails, count just the
+                # up-edges that stay among the remaining nodes
+                size = len(members) + 1 + len(rest)
+                bound = head + far
+                if bound < best[0] or bound == best[0] and size < best[1]:
+                    continue
+                bound = head + sum([x for v in rest for bit, x in ups[v] if deeper & bit]) + slack
+                if bound < best[0] or bound == best[0] and size < best[1]:
+                    continue
+            extend(members + (node,), total, deeper, list(map(operator.add, gains, row)))
 
     extend((), 0.0, (1 << t) - 1, [0.0] * t)
     if best[1]:

@@ -291,6 +291,18 @@ BAD_INPUTS = {
     "config-null-k": (
         lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
                          "--config", _config(tmp, {"k": None}), "-o", str(tmp / "c.json")], 2),
+    # config values are checked as the text a flag would carry, not truncated
+    "config-k-2.5": (
+        lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
+                         "--config", _config(tmp, {"k": 2.5}), "-o", str(tmp / "c.json")], 2),
+    "config-k-true": (
+        lambda ws, tmp: ["cluster", "-d", str(ws["train"]), "-b", str(ws["basis"]),
+                         "--config", _config(tmp, {"k": True}), "-o", str(tmp / "c.json")], 2),
+    "config-seed-1.0": (
+        lambda ws, tmp: ["synth", "--count", "2", "--config", _config(tmp, {"seed": 1.0}),
+                         "-o", str(tmp / "s.jsonl")], 2),
+    "config-kappa-true": (
+        lambda ws, tmp: [*_detect(ws, tmp), "--config", _config(tmp, {"kappa": True})], 2),
     "scores-bad-dims": (
         lambda ws, tmp: _detect(ws, tmp, _edited(
             ws["scores"], tmp, lambda obj: obj["probabilities"].update(dims=["a", 1]))), 2),

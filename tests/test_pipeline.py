@@ -97,6 +97,12 @@ def dense_cosine_relation(rng, t, noise):
     return relation_from_features(features)
 
 
+def mixed_sign_relation(rng, t):
+    """Symmetrized uniform(-1, 1) weights: about half the edges are negative."""
+    a = rng.uniform(-1.0, 1.0, size=(t, t))
+    return 0.5 * (a + a.T)
+
+
 def assert_matches_reference(relation, probabilities, kappa):
     """mwcs returns reference_mwcs's members and its weight, bit for bit."""
     expected_members, expected_weight = reference_mwcs(relation, probabilities, kappa)
@@ -320,6 +326,14 @@ class TestMwcs:
                 probs = rng.uniform(size=t)
                 assert_matches_reference(relation, probs, kappa)
 
+    @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0])
+    def test_matches_reference_on_mixed_sign_graphs(self, kappa):
+        # many positive up-edges lead outside the remaining set, so the bound
+        # checked before entering a subtree is far above the one inside it
+        rng = np.random.default_rng(1216)
+        for t in range(12, 17):
+            assert_matches_reference(mixed_sign_relation(rng, t), rng.uniform(size=t), kappa)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_property_matches_brute_force(self, data):
@@ -405,6 +419,26 @@ class TestMwcs:
         result = mwcs(np.zeros((t, t)), np.zeros(t), kappa=-0.5)
         assert time.perf_counter() - start < 2.0
         assert result == CliqueResult(tuple(range(t)), 0.0)
+
+    @pytest.mark.parametrize("seed, members, weight_hex", [
+        (0, (0, 1, 3, 4, 5, 7, 9, 10, 11, 12, 14, 16, 19, 20, 22, 24), "0x1.1ce9492ebee30p+4"),
+        (1, (1, 2, 3, 4, 7, 8, 15, 16, 18, 19, 21, 23), "0x1.1560858a4f489p+3"),
+        (2, (0, 1, 2, 5, 6, 7, 8, 10, 13, 15, 16, 17, 21, 22, 23, 24), "0x1.eeaf196a6cd7fp+3"),
+        (3, (1, 2, 4, 7, 10, 11, 14, 15, 16, 18, 19, 20, 21, 22), "0x1.b8031892c3646p+3"),
+    ])
+    def test_mixed_sign_complete_graphs_at_the_node_limit_finish_in_time(
+        self, seed, members, weight_hex
+    ):
+        # every edge is allowed at kappa -1, so only the bounds prune; the
+        # expected cliques come from the search before the bound checked in
+        # the parent, which took 1.1-5.0 s per graph on a 2-core x86 machine
+        t = MAX_CLIQUE_NODES
+        relation = mixed_sign_relation(np.random.default_rng(seed), t)
+        start = time.perf_counter()
+        result = mwcs(relation, np.zeros(t), kappa=-1.0)
+        assert time.perf_counter() - start < 3.0
+        assert result.member_indices == members
+        assert result.compatibility.hex() == weight_hex
 
     def test_tie_prefers_larger_then_lexicographic(self):
         # two disjoint 2-cliques with equal weight; then a 3-clique variant
