@@ -194,8 +194,9 @@ def mwcs(
     # in some order, so neither strays from its exact value by more than
     # ~1e-13 of their absolute mass; the bounds get ten times that as slack
     slack = 1e-12 * sum(abs(x) for up in ups for _, x in up)
+    # the bounds count only the positive ones; reach[v] sums all of v's,
+    # wherever they lead
     ups = [[(bit, x) for bit, x in up if x > 0] for up in ups]
-    # every positive allowed edge from v upwards, wherever it leads
     reach = [sum(x for _, x in up) for up in ups]
     # (weight, size, negated members): max prefers the heavier clique, then
     # the larger one, then the lexicographically smallest index set
