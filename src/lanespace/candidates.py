@@ -22,7 +22,7 @@ from .geometry import (
     SamplingGrid,
     SpanStack,
     check_budget,
-    check_stripe_width,
+    check_positive_int,
     lane_arrays,
     stack_lanes,
 )
@@ -32,19 +32,13 @@ TOLERANCE = 1e-6  # centroid shift that ends the iterations, pixels
 MAX_ANCHOR_ANGLE_DEG = 75.0  # straight anchors span +-this angle from vertical
 
 
-def check_k(k) -> None:
-    """ValidationError unless the cluster count k is an integer >= 1 (a bool is not one)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError("k must be an integer >= 1")
-
-
 @dataclass(frozen=True)
 class ClusteringConfig:
     k: int
     seed: int = 0
 
     def __post_init__(self):
-        check_k(self.k)
+        check_positive_int(self.k, "k")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +87,7 @@ class CandidateSet:
 
     def spans(self, width: int) -> SpanStack:
         """The candidates' span stack for one stripe width, built on first use."""
-        check_stripe_width(width)
+        check_positive_int(width, "stripe width")
         if width not in self._span_cache:
             self._span_cache[width] = SpanStack.of(self.xs, self.top_index, self.grid, width)
         return self._span_cache[width]
@@ -160,7 +154,7 @@ def lloyd_kmeans(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise EmptyInput("no points to cluster")
-    check_k(k)
+    check_positive_int(k, "k")
     check_budget((len(points), k), 8, "k-means distances (lanes x clusters)")
     distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
@@ -223,11 +217,11 @@ def straight_anchor_grid(basis: EigenBasis, n: int) -> CandidateSet:
     anchor-based detectors; no canonical layout exists, so the grid is kept
     simple.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_positive_int(n, "n")
     grid = basis.grid
     n_angles = max(1, int(round(np.sqrt(n))))
     n_pos = -(-n // n_angles)  # ceil
+    check_budget((n_pos * n_angles, grid.n_samples), 8, "straight anchors (positions x angles, samples)")
     if n_pos > 1:
         positions = np.linspace(0.0, grid.image_width - 1.0, n_pos)
     else:

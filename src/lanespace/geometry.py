@@ -29,10 +29,10 @@ def check_image_size(width, height) -> None:
             raise ValidationError(f"image size must be two integers in [1, {MAX_IMAGE_SIDE}]")
 
 
-def check_stripe_width(width) -> None:
-    """ValidationError unless width is an integer >= 1 (a bool is not one)."""
-    if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
-        raise ValidationError("stripe width must be an integer >= 1")
+def check_positive_int(value, name: str) -> None:
+    """ValidationError naming name unless value is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1")
 
 
 def check_budget(shape, itemsize: int, what: str) -> None:
@@ -215,7 +215,7 @@ def stripe_spans(
     row is bit-identical to interpolating that lane on its own. width must be
     an integer >= 1, and the (K, image_height) stack must fit MAX_ARRAY_BYTES.
     """
-    check_stripe_width(width)
+    check_positive_int(width, "stripe width")
     xs = np.asarray(xs, dtype=np.float64)
     k = xs.shape[0]
     check_budget((k, grid.image_height), 4, "stripe spans (lanes x image rows)")
@@ -277,7 +277,7 @@ class SpanStack:
         of about SPAN_CHUNK_CELLS lane rows, so the build peak is the stack
         plus one chunk's intermediates, not those of all K lanes at once.
         """
-        check_stripe_width(width)
+        check_positive_int(width, "stripe width")
         xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
         k, height = xs.shape[0], grid.image_height
         blocks = -(-height // ENVELOPE_BLOCK_ROWS)

@@ -19,10 +19,10 @@ import numpy as np
 from .candidates import CandidateSet
 from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
 from .eigenspace import EigenBasis
-from .geometry import DEFAULT_STRIPE_WIDTH, Lane
+from .geometry import DEFAULT_STRIPE_WIDTH, Lane, check_positive_int
 
 # The exact clique search is a branch and bound whose worst case still
-# grows as 2^T (mixed-sign complete graphs at kappa=-1 take ~1 s at 25);
+# grows as 2^T (mixed-sign complete graphs at kappa=-1 take 0.2-1.2 s at 25);
 # NMS keeps the node count at T (default 10) anyway.
 MAX_CLIQUE_NODES = 25
 
@@ -100,8 +100,7 @@ def nms_select(
     never stops early, which trades false positives for fewer false
     negatives.
     """
-    if t < 1:
-        raise ValidationError("t must be >= 1")
+    check_positive_int(t, "t")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValidationError("iou_threshold must be in (0, 1]")
     if not 0.0 <= min_probability <= 1.0:
@@ -165,10 +164,9 @@ def mwcs(
     subtree is skipped only when an upper bound on its cliques' weight, plus
     a rounding allowance, shows that none of them can tie or beat the best
     clique found so far, so the result is the full enumeration's, bit for bit.
-    Before entering a subtree the parent tries a cheap bound: the weight so
-    far, the positive gains of the remaining nodes, and every positive
-    allowed edge from a remaining node to any higher node. Only if that fails
-    does it count just the positive edges among the remaining nodes.
+    The parent checks the bound before entering a subtree: the weight so far,
+    the positive gains of the remaining nodes, and every positive allowed
+    edge from a remaining node to any higher node.
     """
     w = _edge_weights(relation)
     t = w.shape[0]
@@ -181,23 +179,15 @@ def mwcs(
         raise ValidationError("kappa must be in [-1, 1]")
 
     rows = w.tolist()
-    adj = [
-        sum(1 << j for j, x in enumerate(row) if j != i and x > kappa)
-        for i, row in enumerate(rows)
-    ]
-    # allowed edges from each node to higher nodes
-    ups = [
-        [(1 << j, x) for j, x in enumerate(row[i + 1:], i + 1) if adj[i] >> j & 1]
-        for i, row in enumerate(rows)
-    ]
-    # every clique sum and every bound adds at most ~300 of the allowed edges
-    # in some order, so neither strays from its exact value by more than
-    # ~1e-13 of their absolute mass; the bounds get ten times that as slack
-    slack = 1e-12 * sum(abs(x) for up in ups for _, x in up)
-    # the bounds count only the positive ones; reach[v] sums all of v's,
-    # wherever they lead
-    ups = [[(bit, x) for bit, x in up if x > 0] for up in ups]
-    reach = [sum(x for _, x in up) for up in ups]
+    edges = (w > kappa) & ~np.eye(t, dtype=bool)
+    adj = (edges @ (1 << np.arange(t))).tolist()
+    up = np.triu(np.where(edges, w, 0.0))  # allowed edges to higher nodes
+    # every clique sum and the bound add at most ~300 of the allowed edges in
+    # some order, so neither strays from its exact value by more than ~1e-13
+    # of their absolute mass; the bound gets ten times that as slack
+    slack = 1e-12 * float(np.abs(up).sum())
+    # reach[v] sums v's positive allowed up-edges, wherever they lead
+    reach = np.maximum(up, 0.0).sum(axis=1).tolist()
     # (weight, size, negated members): max prefers the heavier clique, then
     # the larger one, then the lexicographically smallest index set
     best = (-math.inf, 0, ())
@@ -218,29 +208,19 @@ def mwcs(
             # what is left of `allowed` lies above node
             if not (deeper := allowed & adj[node]):
                 continue
-            row = rows[node]
-            # a lone remaining node costs less to visit than to bound
-            if deeper & (deeper - 1):
-                # the child's positive gains, each rounded as the child will
-                # hold it, and every positive up-edge of the remaining nodes
-                head, far, rest, bits = total, slack, [], deeper
-                while bits:
-                    v = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    rest.append(v)
-                    if (g := gains[v] + row[v]) > 0:
-                        head += g
-                    far += reach[v]
-                # skip the subtree if no clique in it can tie the best on weight
-                # and size; only when the cheap bound fails, count just the
-                # up-edges that stay among the remaining nodes
-                size = len(members) + 1 + len(rest)
-                bound = head + far
-                if bound < best[0] or bound == best[0] and size < best[1]:
-                    continue
-                bound = head + sum([x for v in rest for bit, x in ups[v] if deeper & bit]) + slack
-                if bound < best[0] or bound == best[0] and size < best[1]:
-                    continue
+            # the child's positive gains, each rounded as the child will hold
+            # it, and every positive up-edge of the remaining nodes
+            row, bound, bits = rows[node], total + slack, deeper
+            while bits:
+                v = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                if (g := gains[v] + row[v]) > 0:
+                    bound += g
+                bound += reach[v]
+            # skip the subtree if no clique in it can tie the best on weight and size
+            size = len(members) + 1 + deeper.bit_count()
+            if bound < best[0] or bound == best[0] and size < best[1]:
+                continue
             extend(members + (node,), total, deeper, list(map(operator.add, gains, row)))
 
     extend((), 0.0, (1 << t) - 1, [0.0] * t)
@@ -307,8 +287,7 @@ class DetectionConfig:
 
     def __post_init__(self):
         # checked up front: mwcs alone would refuse them only after NMS on some image
-        if self.t < 1:
-            raise ValidationError("t must be >= 1")
+        check_positive_int(self.t, "t")
         if self.t > MAX_CLIQUE_NODES:
             raise TooManyNodes(f"t={self.t} exceeds the exact clique search bound {MAX_CLIQUE_NODES}")
         if not -1.0 <= self.kappa <= 1.0:

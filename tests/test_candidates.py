@@ -336,6 +336,18 @@ class TestStraightAnchors:
             second_diff = np.diff(lane.xs, n=2)
             assert np.max(np.abs(second_diff)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_count_must_be_an_integer(self, basis, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            straight_anchor_grid(basis, n)
+
+    def test_budget_refuses_a_large_grid_before_allocating(self, basis):
+        # a (4473 x 4472, 50) float64 grid would take 8 GB
+        begin = time.perf_counter()
+        with pytest.raises(ValidationError, match="straight anchors"):
+            straight_anchor_grid(basis, 20_000_000)
+        assert time.perf_counter() - begin < 1.0
+
     def test_projected_coefficients_attached(self, basis):
         anchors = straight_anchor_grid(basis, 25)
         assert anchors.coefficients.shape == (25, basis.m)

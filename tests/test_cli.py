@@ -271,6 +271,9 @@ BAD_INPUTS = {
     "build-basis-samples-1e8": (
         lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--samples", "100000000",
                          "-o", str(tmp / "b.json")], 2),
+    "straight-anchors-n-2e7": (
+        lambda ws, tmp: ["straight-anchors", "-b", str(ws["basis"]), "--n", "20000000",
+                         "-o", str(tmp / "a.json")], 2),
     "candidates-image-height-1e9": (
         lambda ws, tmp: _eval_candidates(
             ws, tmp, lambda obj: obj["grid"].update(image_height=10**9)), 2),

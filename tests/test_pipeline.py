@@ -84,16 +84,21 @@ def reference_mwcs(relation, probabilities, kappa):
     return tuple(-m for m in best[2]), float(best[0])
 
 
-def dense_cosine_relation(rng, t, noise):
+def dense_cosine_relation(rng, t, noise, zero_rows=False):
     """Cosines of noisy features around one shared direction.
 
     Noise 0.9 relates about nine in ten pairs; 2.5 leaves sparser graphs with
     negative edges. The cosines are not dyadic, so sums must follow one order.
+    zero_rows zeroes every odd feature row, as the oracle zeroes every
+    non-champion's: those nodes relate 0 to everything, so at kappa < 0 their
+    edges tie in weight across many cliques.
     """
     direction = rng.normal(size=11)
     features = direction / np.linalg.norm(direction) + noise * rng.normal(
         size=(t, 11)
     ) / np.sqrt(11)
+    if zero_rows:
+        features[1::2] = 0.0
     return relation_from_features(features)
 
 
@@ -150,6 +155,15 @@ class TestNmsSelect:
         picks = nms_select(cands, scores_for(cands, [0.9, 0.1, 0.1]), t=2)
         assert picks[0] == 0
         assert picks[1] == 1  # tie at 0.1 resolves to the lower index
+
+    @pytest.mark.parametrize("t", [0, 2.5, True])
+    def test_pick_budget_must_be_an_integer(self, basis, grid, make_vertical, t):
+        lanes = [make_vertical(x) for x in (100.0, 400.0, 700.0)]
+        cands = CandidateSet(
+            *stack_lanes(lanes, grid), grid, np.zeros((3, basis.m)), basis.content_id
+        )
+        with pytest.raises(ValidationError, match="t must be an integer"):
+            nms_select(cands, scores_for(cands, [0.9, 0.5, 0.1]), t=t)
 
     def test_duplicate_suppressed(self, basis, grid, make_vertical):
         lanes = [make_vertical(250.0), make_vertical(250.0)]
@@ -320,11 +334,12 @@ class TestMwcs:
     def test_matches_reference_on_dense_cosine_graphs(self, kappa):
         # T=17 and 18 give the pruning the most subtrees to skip
         rng = np.random.default_rng(14)
-        for t in range(13, 19):
-            for noise in (0.9, 2.5):
-                relation = dense_cosine_relation(rng, t, noise)
-                probs = rng.uniform(size=t)
-                assert_matches_reference(relation, probs, kappa)
+        for zero_rows in (False, True):
+            for t in range(13, 19):
+                for noise in (0.9, 2.5):
+                    relation = dense_cosine_relation(rng, t, noise, zero_rows)
+                    probs = rng.uniform(size=t)
+                    assert_matches_reference(relation, probs, kappa)
 
     @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0])
     def test_matches_reference_on_mixed_sign_graphs(self, kappa):
@@ -407,6 +422,17 @@ class TestMwcs:
         rng = np.random.default_rng(25)
         for noise in (0.9, 0.9, 2.5, 2.5):
             relation = dense_cosine_relation(rng, MAX_CLIQUE_NODES, noise)
+            start = time.perf_counter()
+            result = mwcs(relation, rng.uniform(size=MAX_CLIQUE_NODES), kappa)
+            assert time.perf_counter() - start < 2.0
+            for i, j in itertools.combinations(result.member_indices, 2):
+                assert 0.5 * (relation[i, j] + relation[j, i]) > kappa
+
+    @pytest.mark.parametrize("kappa", [-0.3, -0.6, -1.0])
+    def test_zero_row_graphs_at_the_node_limit_finish_in_time(self, kappa):
+        rng = np.random.default_rng(25)
+        for _ in range(4):
+            relation = dense_cosine_relation(rng, MAX_CLIQUE_NODES, 2.5, zero_rows=True)
             start = time.perf_counter()
             result = mwcs(relation, rng.uniform(size=MAX_CLIQUE_NODES), kappa)
             assert time.perf_counter() - start < 2.0
@@ -546,6 +572,8 @@ class TestDetectionConfigValidation:
         "fields, error",
         [
             ({"t": 0}, ValidationError),
+            ({"t": 2.5}, ValidationError),
+            ({"t": True}, ValidationError),
             ({"t": MAX_CLIQUE_NODES + 1}, TooManyNodes),
             ({"kappa": 2.0}, ValidationError),
             ({"kappa": -1.5}, ValidationError),
