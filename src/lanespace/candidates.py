@@ -18,7 +18,6 @@ from .errors import EmptyInput, GridMismatch, TooManyClusters, ValidationError
 from .eigenspace import EigenBasis, LaneMatrix, project_columns
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
-    Lane,
     SamplingGrid,
     SpanStack,
     check_budget,
@@ -79,11 +78,6 @@ class CandidateSet:
     @property
     def k(self) -> int:
         return int(self.xs.shape[0])
-
-    @property
-    def lanes(self) -> list[Lane]:
-        """The candidates as Lane objects, built anew on every read."""
-        return [Lane(xs, top, self.grid) for xs, top in zip(self.xs, self.top_index)]
 
     def spans(self, width: int) -> SpanStack:
         """The candidates' span stack for one stripe width, built on first use."""

@@ -18,7 +18,7 @@ set, redirects relative output paths into that directory.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -36,7 +36,6 @@ from .errors import (
     SchemaError,
     ValidationError,
     VersionError,
-    open_for_writing,
     parse_json,
     read_text,
 )
@@ -54,8 +53,7 @@ from .serialize import (
     save_candidates,
     save_detections,
     save_image_scores,
-    save_match_report,
-    save_point_accuracy_report,
+    save_json,
 )
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -281,14 +279,7 @@ def approx(data, basis_path, ranks, out, fmt):
         click.echo(f"rank {r}: residual {total:.4f}  mean-rms {per_lane_rms:.3f} px")
     if out is not None:
         path = _out_path(out)
-        report = {
-            "schema_version": 1,
-            "kind": "approx_report",
-            "lanes": matrix.n_lanes,
-            "rows": rows,
-        }
-        with open_for_writing(path) as fh:
-            fh.write(json.dumps(report) + "\n")
+        save_json("approx_report", {"lanes": matrix.n_lanes, "rows": rows}, path)
         click.echo(f"out: {path}")
 
 
@@ -447,7 +438,7 @@ def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out,
             ]
         )
         if out is not None:
-            save_match_report(report, _out_path(out))
+            save_json("match_report", dataclasses.asdict(report), _out_path(out))
     else:
         preds = []
         gts = []
@@ -466,7 +457,7 @@ def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out,
             ]
         )
         if out is not None:
-            save_point_accuracy_report(report, _out_path(out))
+            save_json("point_accuracy_report", dataclasses.asdict(report), _out_path(out))
 
 
 @main.command()

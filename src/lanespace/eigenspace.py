@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, RankDeficient, ValidationError
-from .geometry import Lane, SamplingGrid, stack_lanes
+from .geometry import Lane, SamplingGrid, check_positive_int, stack_lanes
 
 # Relative singular-value cutoff defining the numerical rank.
 RANK_CUTOFF = 1e-12
@@ -121,8 +121,7 @@ def build_basis(matrix: LaneMatrix, m: int) -> EigenBasis:
     Raises RankDeficient when m exceeds the numerical rank (singular values
     below RANK_CUTOFF relative to the largest are treated as zero).
     """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    check_positive_int(m, "m")
     u, s, _ = np.linalg.svd(matrix.columns, full_matrices=False)
     if s[0] <= 0:
         raise RankDeficient(m, 0)

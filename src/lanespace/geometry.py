@@ -81,8 +81,7 @@ class SamplingGrid:
         The ladder covers the lower two thirds of the image, which is where
         road surface normally sits; other ladders come from the constructor.
         """
-        if n_samples < 1:
-            raise ValidationError("n_samples must be positive")
+        check_positive_int(n_samples, "n_samples")
         check_image_size(image_width, image_height)
         ys = np.linspace(image_height - 1.0, 0.35 * image_height, n_samples)
         return cls(image_width, image_height, ys)
@@ -326,16 +325,14 @@ class SpanStack:
         out = np.zeros((len(queries), k))
         for q in range(len(queries)):
             meet = np.flatnonzero((self.lo < queries.hi[q]) & (queries.lo[q] < self.hi))
-            lane, block = np.divmod(meet, blocks)
             mine = blocked.take(meet, axis=0)
-            theirs = queries.spans[q].take(block, axis=0)
+            theirs = queries.spans[q].take(meet % blocks, axis=0)
             inter = np.minimum(mine[:, 1], theirs[:, 1])
             inter -= np.maximum(mine[:, 0], theirs[:, 0])
             np.maximum(inter, 0, out=inter)
-            first = np.flatnonzero(np.diff(lane, prepend=-1))  # meet is sorted by lane
-            near = lane[first]
-            inter = np.add.reduceat(inter.sum(axis=1), first)
-            out[q, near] = inter / (self.area[near] + queries.area[q] - inter)
+            # pixel counts stay below 2**53, so the float64 sums are exact
+            inter = np.bincount(meet // blocks, weights=inter.sum(axis=1), minlength=k)
+            np.divide(inter, self.area + queries.area[q] - inter, out=out[q], where=inter > 0)
         return out
 
 

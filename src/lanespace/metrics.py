@@ -157,14 +157,14 @@ def f_measure(reports) -> MatchReport:
 def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyReport:
     """Pointwise accuracy plus lane-level FPR / FNR over a list of images.
 
-    predictions and ground_truth are parallel lists; element i holds the
-    lanes of image i, all sampled on one shared grid. Within an image,
-    lanes are matched greedily by per-lane point accuracy (descending, ties
-    to the lowest prediction then ground-truth index). A ground-truth point
-    is correct for a prediction when its row lies inside both lanes'
-    annotated extents and the horizontal distance is strictly below
-    TUSIMPLE_POINT_THRESHOLD; a pair's accuracy is its correct points over
-    the ground-truth lane's points, 0.0 for a lane without points. A
+    predictions, ground_truth and image_ids (when given) are parallel lists;
+    element i holds image i's lanes, all sampled on one shared grid. Within
+    an image, lanes are matched greedily by per-lane point accuracy
+    (descending, ties to the lowest prediction then ground-truth index). A
+    ground-truth point is correct for a prediction when its row lies inside
+    both lanes' annotated extents and the horizontal distance is strictly
+    below TUSIMPLE_POINT_THRESHOLD; a pair's accuracy is its correct points
+    over the ground-truth lane's points, 0.0 for a lane without points. A
     predicted lane is false when unmatched or when its accuracy falls below
     TUSIMPLE_LANE_ACCURACY_FLOOR; the same rule marks the ground-truth lane
     missed.
@@ -175,6 +175,8 @@ def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyRe
         raise ValidationError("need one prediction list per ground-truth list")
     if image_ids is None:
         image_ids = [f"image_{i:05d}" for i in range(len(predictions))]
+    if len(image_ids) != len(ground_truth):
+        raise ValidationError("need one image id per ground-truth list")
 
     per_image = []
     for image_id, preds, gts in zip(image_ids, predictions, ground_truth):

@@ -83,6 +83,15 @@ class CliqueResult:
             raise ValidationError("clique members must be distinct")
 
 
+def _check_nms_settings(t, iou_threshold, width, min_probability) -> None:
+    check_positive_int(t, "t")
+    check_positive_int(width, "stripe width")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValidationError("iou_threshold must be in (0, 1]")
+    if not 0.0 <= min_probability <= 1.0:
+        raise ValidationError("min_probability must be in [0, 1]")
+
+
 def nms_select(
     candidates: CandidateSet,
     scores: CandidateScores,
@@ -100,11 +109,7 @@ def nms_select(
     never stops early, which trades false positives for fewer false
     negatives.
     """
-    check_positive_int(t, "t")
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValidationError("iou_threshold must be in (0, 1]")
-    if not 0.0 <= min_probability <= 1.0:
-        raise ValidationError("min_probability must be in [0, 1]")
+    _check_nms_settings(t, iou_threshold, width, min_probability)
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
     alive = np.ones(candidates.k, dtype=bool)
@@ -126,11 +131,13 @@ def relation_from_features(features: np.ndarray) -> RelationMatrix:
 
     Rows are l2-normalized before the Gram product, so every entry lands in
     [-1, 1]. All-zero feature rows carry no evidence: they relate 0 to
-    everything.
+    everything. Features must be finite.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise EmptyInput("features must be a non-empty (T, C) matrix")
+    if not np.isfinite(f).all():
+        raise ValidationError("features must be finite")
     norms = np.linalg.norm(f, axis=1)
     zero = norms == 0
     safe = np.where(zero, 1.0, norms)
@@ -146,6 +153,8 @@ def _edge_weights(relation: RelationMatrix) -> np.ndarray:
     r = np.asarray(relation, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError("relation matrix must be square")
+    if not np.isfinite(r).all():
+        raise ValidationError("relation matrix must be finite")
     return 0.5 * (r + r.T)
 
 
@@ -286,8 +295,8 @@ class DetectionConfig:
     use_heights: bool = True
 
     def __post_init__(self):
-        # checked up front: mwcs alone would refuse them only after NMS on some image
-        check_positive_int(self.t, "t")
+        # checked up front: NMS and mwcs alone would refuse them only on some image
+        _check_nms_settings(self.t, self.iou_threshold, self.stripe_width, self.min_probability)
         if self.t > MAX_CLIQUE_NODES:
             raise TooManyNodes(f"t={self.t} exceeds the exact clique search bound {MAX_CLIQUE_NODES}")
         if not -1.0 <= self.kappa <= 1.0:
@@ -308,6 +317,9 @@ def detect_image(
     candidate set). The clique's member indices refer to positions in the
     pick list; the returned lanes are already mapped back.
     """
+    features = np.asarray(features)
+    if features.shape[:1] != (candidates.k,):
+        raise DimensionMismatch("features must have one row per candidate")
     picks = nms_select(
         candidates,
         scores,
@@ -318,7 +330,7 @@ def detect_image(
     )
     if not picks:
         return [], CliqueResult((), 0.0), []
-    relation = relation_from_features(np.asarray(features)[picks])
+    relation = relation_from_features(features[picks])
     clique = mwcs(relation, scores.probabilities[picks], config.kappa)
     chosen = [picks[i] for i in clique.member_indices]
     mapped = CliqueResult(tuple(chosen), clique.compatibility)
@@ -340,8 +352,7 @@ def uniform_height_grid(grid, r: int = 25) -> np.ndarray:
     Bin 0 sits at the bottom of the image (largest y, shortest lane) and the
     last bin at the grid's top, matching the grid's bottom-first convention.
     """
-    if r < 1:
-        raise ValidationError("r must be >= 1")
+    check_positive_int(r, "r")
     if r == 1:
         return np.array([grid.y_coords[-1]])
     return np.linspace(grid.y_coords[0], grid.y_coords[-1], r)

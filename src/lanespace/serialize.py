@@ -8,7 +8,6 @@ content survives a round trip bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -18,7 +17,6 @@ from .candidates import CandidateSet
 from .errors import SchemaError, VersionError, json_floats, open_for_writing, parse_json, read_text
 from .eigenspace import EigenBasis
 from .geometry import Lane, SamplingGrid
-from .metrics import MatchReport, PointAccuracyReport
 from .pipeline import CandidateScores
 
 SCHEMA_VERSION = 1
@@ -99,8 +97,9 @@ def _write_lines(objs, path):
             fh.write(json.dumps(obj) + "\n")
 
 
-def _write_json(obj: dict, path):
-    _write_lines([obj], path)
+def save_json(kind: str, fields: dict, path):
+    """Write one object of the given kind: the versioned header, then fields."""
+    _write_lines([{"schema_version": SCHEMA_VERSION, "kind": kind, **fields}], path)
 
 
 def _parse(text: str, path, kind: str) -> dict:
@@ -119,10 +118,9 @@ def _read_lines(path, kind: str) -> list[dict]:
 
 
 def save_basis(basis: EigenBasis, path):
-    _write_json(
+    save_json(
+        "eigen_basis",
         {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "eigen_basis",
             "grid": _grid_to_obj(basis.grid),
             "m": basis.m,
             "u": _encode_array(basis.u),
@@ -143,10 +141,9 @@ def load_basis(path) -> EigenBasis:
 
 
 def save_candidates(candidates: CandidateSet, path):
-    _write_json(
+    save_json(
+        "candidate_set",
         {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "candidate_set",
             "grid": _grid_to_obj(candidates.grid),
             "basis_id": candidates.basis_id,
             "k": candidates.k,
@@ -250,21 +247,3 @@ def load_detections(path, grid: SamplingGrid):
         compatibility = float(json_floats([compatibility], "compatibility")[0])
         out.append((str(_require(obj, "image_id")), lanes, compatibility))
     return out
-
-
-def save_match_report(report: MatchReport, path):
-    _write_json(
-        {"schema_version": SCHEMA_VERSION, "kind": "match_report", **dataclasses.asdict(report)},
-        path,
-    )
-
-
-def save_point_accuracy_report(report: PointAccuracyReport, path):
-    _write_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "point_accuracy_report",
-            **dataclasses.asdict(report),
-        },
-        path,
-    )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import DatasetRecord
 from .errors import ValidationError
-from .geometry import check_image_size
+from .geometry import check_image_size, check_positive_int
 
 FAMILIES = ("straight", "arc", "s_curve")
 MAX_LANES = 5
@@ -44,8 +44,7 @@ class SyntheticSpec:
     curvature_range: tuple[float, float] = (1.8e-3, 3.5e-3)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValidationError("count must be >= 1")
+        check_positive_int(self.count, "count")
         check_image_size(*self.image_size)
         if len(self.weights) != 3 or not all(0 <= w < np.inf for w in self.weights):
             raise ValidationError("weights must be 3 finite non-negative numbers")

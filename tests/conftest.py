@@ -55,3 +55,8 @@ def make_vertical(grid):
         return vertical_lane(grid, x, top_index)
 
     return _make
+
+
+def candidate_lanes(candidates):
+    """The rows of a CandidateSet as Lane objects."""
+    return [Lane(xs, top, candidates.grid) for xs, top in zip(candidates.xs, candidates.top_index)]

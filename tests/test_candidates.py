@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import candidate_lanes
 from lanespace import (
     CandidateSet,
     ClusteringConfig,
+    DetectionConfig,
     EmptyInput,
     GridMismatch,
     Lane,
     LaneMatrix,
+    OracleConfig,
     SamplingGrid,
     TooManyClusters,
     ValidationError,
@@ -326,13 +329,13 @@ class TestStraightAnchors:
     def test_single_anchor_is_vertical_center(self, basis):
         anchors = straight_anchor_grid(basis, 1)
         assert anchors.k == 1
-        lane = anchors.lanes[0]
+        lane = candidate_lanes(anchors)[0]
         assert np.allclose(lane.xs, basis.grid.image_width / 2.0)
 
     def test_exactly_n_lanes_all_straight(self, basis):
         anchors = straight_anchor_grid(basis, 137)
         assert anchors.k == 137
-        for lane in anchors.lanes:
+        for lane in candidate_lanes(anchors):
             second_diff = np.diff(lane.xs, n=2)
             assert np.max(np.abs(second_diff)) <= 1e-9
 
@@ -351,7 +354,7 @@ class TestStraightAnchors:
     def test_projected_coefficients_attached(self, basis):
         anchors = straight_anchor_grid(basis, 25)
         assert anchors.coefficients.shape == (25, basis.m)
-        for lane, c in zip(anchors.lanes, anchors.coefficients):
+        for lane, c in zip(candidate_lanes(anchors), anchors.coefficients):
             assert np.allclose(c, basis.u.T @ lane.xs, atol=1e-9)
 
 
@@ -368,7 +371,7 @@ BAD_STACKS = {
 
 class TestCandidateSetChecks:
     def test_lanes_view_matches_arrays(self, candidates):
-        lanes = candidates.lanes
+        lanes = candidate_lanes(candidates)
         assert len(lanes) == candidates.k
         for i, lane in enumerate(lanes):
             assert lane.grid == candidates.grid
@@ -522,7 +525,9 @@ class TestStripeWidthMustBeAnInteger:
         for call in (lambda: mean_best_iou(used, test, width),
                      lambda: used.suppressed(0, width, 0.5),
                      lambda: used.spans(width),
-                     lambda: stripe_ious(test[:3], test[3:6], width)):
+                     lambda: stripe_ious(test[:3], test[3:6], width),
+                     lambda: OracleConfig(stripe_width=width),
+                     lambda: DetectionConfig(stripe_width=width)):
             with pytest.raises(ValidationError, match="stripe width"):
                 call()
         fresh = dataclasses.replace(candidates)
@@ -553,7 +558,7 @@ class TestOracleIouTable:
 
 class TestMeanBestIou:
     def test_self_match_is_one(self, candidates):
-        assert mean_best_iou(candidates, candidates.lanes, 30) == pytest.approx(1.0)
+        assert mean_best_iou(candidates, candidate_lanes(candidates), 30) == pytest.approx(1.0)
 
     def test_far_test_lanes_score_zero(self, basis, make_vertical):
         far = [make_vertical(2.0)]
@@ -577,7 +582,7 @@ class TestMeanBestIou:
         slow = float(
             np.mean(
                 [
-                    max(stripe_iou(lane, cand, 30) for cand in candidates.lanes)
+                    max(stripe_iou(lane, cand, 30) for cand in candidate_lanes(candidates))
                     for lane in test
                 ]
             )

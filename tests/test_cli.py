@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from lanespace.cli import main
 from lanespace.datasets import write_tusimple_jsonl
 from lanespace.errors import ValidationError
-from lanespace.serialize import load_basis, load_candidates, load_detections, load_image_scores
+from lanespace.serialize import (
+    SCHEMA_VERSION,
+    load_basis,
+    load_candidates,
+    load_detections,
+    load_image_scores,
+)
 from lanespace.synth import SyntheticSpec, generate_synthetic
 
 
@@ -96,6 +102,22 @@ class TestChain:
         )
         assert "accuracy:" in result.output
         assert "fnr:" in result.output
+
+    def test_single_object_artifacts_open_with_version_and_kind(self, runner, workspace):
+        root, test, basis = workspace["root"], str(workspace["test"]), str(workspace["basis"])
+        evaluate = ["eval", "-p", str(workspace["det"]), "-d", test, "-b", basis]
+        reports = {
+            "approx_report": ["approx", "-d", test, "-b", basis],
+            "match_report": evaluate,
+            "point_accuracy_report": [*evaluate, "--metric", "tusimple"],
+        }
+        for kind, args in reports.items():
+            run_ok(runner, [*args, "-o", str(root / f"{kind}.json")])
+        files = {"eigen_basis": workspace["basis"], "candidate_set": workspace["cands"],
+                 **{kind: root / f"{kind}.json" for kind in reports}}
+        for kind, path in files.items():
+            obj = json.loads(path.read_text())
+            assert list(obj.items())[:2] == [("schema_version", SCHEMA_VERSION), ("kind", kind)]
 
     def test_straight_anchors_and_approx(self, runner, workspace):
         anchors = workspace["root"] / "anchors.json"
@@ -257,6 +279,13 @@ BAD_INPUTS = {
     "detect-t-0": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "0"], 2),
     "detect-kappa-2": (lambda ws, tmp: [*_detect(ws, tmp), "--kappa", "2"], 2),
     "detect-t-26": (lambda ws, tmp: [*_detect(ws, tmp), "--t", "26"], 2),
+    # refused when the config is built, even with no image to run NMS on
+    "detect-no-images-iou-thresh-0": (
+        lambda ws, tmp: [*_detect(ws, tmp, str(tmp / "empty.jsonl")), "--iou-thresh", "0"], 2),
+    "detect-no-images-min-prob-2": (
+        lambda ws, tmp: [*_detect(ws, tmp, str(tmp / "empty.jsonl")), "--min-prob", "2"], 2),
+    "detect-no-images-stripe-width-0": (
+        lambda ws, tmp: [*_detect(ws, tmp, str(tmp / "empty.jsonl")), "--stripe-width", "0"], 2),
     "build-basis-rank-0": (
         lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--rank", "0",
                          "-o", str(tmp / "b.json")], 2),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import candidate_lanes
 from lanespace import (
     DimensionMismatch,
     EigenBasis,
@@ -244,7 +245,7 @@ class TestRefineAndIsometry:
         c = candidates.coefficients[cand_idx]
         delta = project(basis, target) - c
         refined = reconstruct(basis, c + delta)
-        before = stripe_iou(candidates.lanes[cand_idx], target, 30)
+        before = stripe_iou(candidate_lanes(candidates)[cand_idx], target, 30)
         after = stripe_iou(refined, target, 30)
         assert after >= before
         assert after > 0.8

@@ -3,18 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import candidate_lanes
 from lanespace import (
     GridMismatch,
     InvalidAnnotation,
     Lane,
+    LaneMatrix,
     SamplingGrid,
     SyntheticSpec,
     ValidationError,
+    build_basis,
     generate_synthetic,
     resample_polyline,
     stripe_iou,
     stripe_iou_pixelcount,
     stripe_ious,
+    uniform_height_grid,
 )
 from lanespace.geometry import MAX_ARRAY_BYTES, check_budget, stack_lanes, stripe_spans
 
@@ -276,7 +280,7 @@ class TestStripeIous:
     def test_table_equals_pixel_counting_against_kmeans_candidates(self, grid, candidates):
         records = generate_synthetic(SyntheticSpec(count=3, seed=8))
         lanes = [lane for record in records for lane in record.resampled(grid)][:5]
-        cands = candidates.lanes[:20]
+        cands = candidate_lanes(candidates)[:20]
         pixel = np.array([[stripe_iou_pixelcount(a, b) for b in cands] for a in lanes])
         assert pixel.any()
         assert np.array_equal(stripe_ious(lanes, cands), pixel)
@@ -318,6 +322,27 @@ class TestStripeSpans:
                 start, end = loop_stripe_spans(Lane(xs[k], int(top[k]), grid), width)
                 assert np.array_equal(starts[k], start)
                 assert np.array_equal(ends[k], end)
+
+
+# each site's integer argument, by the name its error carries
+INTEGER_ARGUMENTS = {
+    "n_samples": lambda grid, n: SamplingGrid.uniform(1280, 720, n),
+    "m": lambda grid, n: build_basis(LaneMatrix(np.ones((grid.n_samples, 2)), grid), n),
+    "r": lambda grid, n: uniform_height_grid(grid, n),
+    "count": lambda grid, n: SyntheticSpec(count=n),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    @pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+    def test_refused_by_name(self, small_grid, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1$"):
+            INTEGER_ARGUMENTS[name](small_grid, value)
+
+    @pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+    def test_numpy_integers_are_accepted(self, small_grid, name):
+        INTEGER_ARGUMENTS[name](small_grid, np.int64(1))
 
 
 class TestCheckBudget:

@@ -7,6 +7,7 @@ from lanespace import (
     GridMismatch,
     Lane,
     SamplingGrid,
+    ValidationError,
     f_measure,
     match_lanes,
     resample_polyline,
@@ -218,6 +219,12 @@ class TestTusimpleScore:
         assert report.fnr == 1.0
         assert report.fpr == 0.0
         assert report.accuracy == 0.0
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
+    def test_needs_one_image_id_per_image(self, make_vertical, ids):
+        gt = [[make_vertical(200.0)], [make_vertical(500.0)]]
+        with pytest.raises(ValidationError, match="one image id per ground-truth list"):
+            tusimple_score(gt, gt, image_ids=ids)
 
     def test_offset_beyond_threshold_counts_false(self, grid, make_vertical):
         gt_lane = make_vertical(400.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import candidate_lanes
 from lanespace import (
     CandidateSet,
     Lane,
@@ -16,7 +17,7 @@ from lanespace import (
 def loop_oracle(candidates, gt_lanes, basis, heights, iou_floor):
     """Reference: best IoU, offsets and height bins, one candidate at a time."""
     k = candidates.k
-    iou = np.array([[stripe_iou(c, g, 30) for g in gt_lanes] for c in candidates.lanes])
+    iou = np.array([[stripe_iou(c, g, 30) for g in gt_lanes] for c in candidate_lanes(candidates)])
     offsets = np.zeros((k, basis.m))
     height_dist = np.zeros((k, heights.size))
     for i in range(k):
@@ -36,7 +37,7 @@ def heights(basis):
 
 class TestOracleScores:
     def test_exact_candidate_scores_one(self, basis, candidates, heights):
-        gt = [candidates.lanes[4]]
+        gt = [candidate_lanes(candidates)[4]]
         scores, _ = oracle_scores(candidates, gt, basis, heights)
         assert scores.probabilities[4] == pytest.approx(1.0)
         assert np.allclose(scores.offsets[4], 0.0, atol=1e-9)
@@ -46,7 +47,7 @@ class TestOracleScores:
         gt = [make_vertical(3.0)]
         scores, _ = oracle_scores(candidates, gt, basis, heights)
         far = np.array(
-            [lane.xs.min() > 1050.0 for lane in candidates.lanes]
+            [lane.xs.min() > 1050.0 for lane in candidate_lanes(candidates)]
         )
         if far.any():
             assert np.all(scores.probabilities[far] == 0.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import candidate_lanes
 from lanespace import (
     CandidateScores,
     CandidateSet,
@@ -16,6 +17,7 @@ from lanespace import (
     Lane,
     TooManyNodes,
     ValidationError,
+    detect_image,
     finalize,
     mwcs,
     nms_select,
@@ -272,6 +274,13 @@ class TestRelationFromFeatures:
         assert np.allclose(relation[1], 0.0)
         assert np.allclose(relation[:, 1], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        f = np.eye(3)
+        f[1, 2] = bad
+        with pytest.raises(ValidationError, match="features must be finite"):
+            relation_from_features(f)
+
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(7, 5))
@@ -305,6 +314,13 @@ class TestMwcs:
         # w = 0.5, exceeds kappa
         assert result.member_indices == (0, 1)
         assert result.compatibility == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_relations(self, bad):
+        relation = np.full((3, 3), 0.9)
+        relation[0, 1] = bad
+        with pytest.raises(ValidationError, match="relation matrix must be finite"):
+            mwcs(relation, np.full(3, 0.5), kappa=0.3)
 
     def test_too_many_nodes(self):
         t = MAX_CLIQUE_NODES + 1
@@ -488,7 +504,7 @@ class TestFinalize:
         lanes = finalize(basis, candidates, clique, scores, heights)
         assert len(lanes) == 3
         for idx, lane in zip(clique.member_indices, lanes):
-            assert np.allclose(lane.xs, candidates.lanes[idx].xs, atol=1e-12)
+            assert np.allclose(lane.xs, candidate_lanes(candidates)[idx].xs, atol=1e-12)
             assert lane.top_index == basis.grid.n_samples
 
     def test_exact_offset_recovers_projected_target(self, basis, candidates, train_lanes):
@@ -552,6 +568,14 @@ class TestFinalize:
             finalize(basis, candidates, CliqueResult((0,), 0.0), scores, heights)
 
 
+class TestDetectImage:
+    def test_features_need_one_row_per_candidate(self, basis, candidates):
+        scores = scores_for(candidates, np.full(candidates.k, 0.5), heights_bins=1)
+        heights = uniform_height_grid(basis.grid, 1)
+        with pytest.raises(DimensionMismatch, match="one row per candidate"):
+            detect_image(basis, candidates, scores, np.ones((10, 4)), heights)
+
+
 class TestCandidateScoresValidation:
     def test_rejects_bad_probability(self, basis, candidates):
         k = candidates.k
@@ -578,6 +602,10 @@ class TestDetectionConfigValidation:
             ({"kappa": 2.0}, ValidationError),
             ({"kappa": -1.5}, ValidationError),
             ({"kappa": float("nan")}, ValidationError),
+            ({"iou_threshold": 0.0}, ValidationError),
+            ({"iou_threshold": 1.5}, ValidationError),
+            ({"min_probability": 2.0}, ValidationError),
+            ({"min_probability": -0.1}, ValidationError),
         ],
     )
     def test_rejects_clique_settings_out_of_range(self, fields, error):
@@ -585,5 +613,5 @@ class TestDetectionConfigValidation:
             DetectionConfig(**fields)
 
     def test_accepts_the_range_ends(self):
-        DetectionConfig(t=1, kappa=-1.0)
-        DetectionConfig(t=MAX_CLIQUE_NODES, kappa=1.0)
+        DetectionConfig(t=1, kappa=-1.0, iou_threshold=1.0, min_probability=0.0, stripe_width=1)
+        DetectionConfig(t=MAX_CLIQUE_NODES, kappa=1.0, min_probability=1.0)

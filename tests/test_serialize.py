@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import candidate_lanes
 from lanespace import (
     CandidateScores,
     SchemaError,
@@ -80,9 +81,8 @@ class TestCandidatesRoundTrip:
         assert loaded.k == candidates.k
         assert loaded.basis_id == candidates.basis_id
         assert np.array_equal(loaded.coefficients, candidates.coefficients)
-        for a, b in zip(loaded.lanes, candidates.lanes):
-            assert np.array_equal(a.xs, b.xs)
-            assert a.top_index == b.top_index
+        assert np.array_equal(loaded.xs, candidates.xs)
+        assert np.array_equal(loaded.top_index, candidates.top_index)
 
     def test_count_mismatch_detected(self, candidates, tmp_path):
         path = tmp_path / "cands.json"
@@ -119,7 +119,7 @@ class TestScoresRoundTrip:
 class TestDetectionsRoundTrip:
     def test_round_trip(self, candidates, tmp_path):
         grid = candidates.grid
-        lanes = candidates.lanes[:3]
+        lanes = candidate_lanes(candidates)[:3]
         path = tmp_path / "det.jsonl"
         save_detections([("img0", lanes, 1.25)], path)
         loaded = load_detections(path, grid)
@@ -134,7 +134,7 @@ class TestDetectionsRoundTrip:
     def test_lane_length_checked(self, candidates, tmp_path):
         grid = candidates.grid
         path = tmp_path / "det.jsonl"
-        save_detections([("img0", candidates.lanes[:1], 0.0)], path)
+        save_detections([("img0", candidate_lanes(candidates)[:1], 0.0)], path)
         obj = json.loads(path.read_text().strip())
         obj["lanes"][0]["xs"] = obj["lanes"][0]["xs"][:-1]
         path.write_text(json.dumps(obj) + "\n")
