@@ -58,7 +58,6 @@ from .geometry import (
     SamplingGrid,
     resample_polyline,
     stripe_iou,
-    stripe_iou_pixelcount,
     stripe_ious,
 )
 from .metrics import (
@@ -143,7 +142,6 @@ __all__ = [
     "resample_polyline",
     "straight_anchor_grid",
     "stripe_iou",
-    "stripe_iou_pixelcount",
     "stripe_ious",
     "trailing_energy",
     "tusimple_score",

@@ -1,4 +1,4 @@
-"""Sampled-lane representation, lane stacks, stripe spans and stripe IoU.
+"""Sampled-lane representation, lane stacks, span stacks and stripe IoU.
 
 A lane is a vector of x-coordinates sampled at a fixed ladder of image
 heights (bottom of the image first). Lanes shorter than the ladder are
@@ -200,62 +200,13 @@ def stack_lanes(lanes, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
     return xs.reshape(len(lanes), grid.n_samples), top_index
 
 
-def stripe_spans(
-    xs: np.ndarray, top_index: np.ndarray, grid: SamplingGrid, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image-row stripe column windows of a lane stack.
-
-    xs (K, N) and top_index (K,) hold K lanes sampled on ``grid``. Returns
-    (start, end) int32 arrays of shape (K, image_height); rows outside a
-    lane's valid extent (or fully clipped) have start == end == 0. The window
-    on a covered row is the ``width`` contiguous pixel columns centered on
-    the lane's interpolated x, clipped to [0, image_width). The x on a row
-    uses np.interp's arithmetic on the two samples around it, so every lane's
-    row is bit-identical to interpolating that lane on its own. width must be
-    an integer >= 1, and the (K, image_height) stack must fit MAX_ARRAY_BYTES.
-    """
-    check_positive_int(width, "stripe width")
-    xs = np.asarray(xs, dtype=np.float64)
-    k = xs.shape[0]
-    check_budget((k, grid.image_height), 4, "stripe spans (lanes x image rows)")
-    start = np.zeros((k, grid.image_height), dtype=np.int32)
-    end = np.zeros_like(start)
-    y = grid.y_coords
-    row_lo, row_hi = int(np.ceil(y[-1])), int(np.floor(y[0]))
-    if row_lo > row_hi:
-        return start, end
-    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
-    # y[seg] <= row < y[seg - 1]; rows in the band keep seg < N
-    seg = np.searchsorted(-y, -rows, side="left")
-    x = xs[:, seg]
-    between = rows != y[seg]  # seg >= 1 here, because rows <= y[0]
-    i = seg[between]
-    lower = xs[:, i]
-    slope = xs[:, i - 1] - lower
-    slope /= y[i - 1] - y[i]
-    slope *= rows[between] - y[i]
-    slope += lower
-    x[:, between] = slope
-    s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
-    e = s + width
-    np.clip(s, 0, grid.image_width, out=s)
-    np.clip(e, 0, grid.image_width, out=e)
-    # a lane covers the rows at or below its last annotated sample: seg < top_index
-    off = (s >= e) | (seg[None, :] >= np.asarray(top_index)[:, None])
-    s[off] = 0
-    e[off] = 0
-    start[:, row_lo : row_hi + 1] = s
-    end[:, row_lo : row_hi + 1] = e
-    return start, end
-
-
 @dataclass(frozen=True, eq=False)
 class SpanStack:
     """Stripe spans of K lanes in row blocks, with pixel areas and envelopes; build with of().
 
-    spans is (K, blocks, 2, ENVELOPE_BLOCK_ROWS) int32: stripe_spans' start
-    (index 0) and end (index 1) windows of each block of image rows, zero
-    past the image's last row. area is the (K,) int64 pixel count of each
+    spans is (K, blocks, 2, ENVELOPE_BLOCK_ROWS) int32: the start (index 0)
+    and end (index 1) column windows of each block of image rows, zero past
+    the image's last row. area is the (K,) int64 pixel count of each
     stripe. lo and hi are (K, blocks): per block, the minimum start and the
     maximum end over the rows the lane covers, or int32 max and 0 when it
     covers none. Two lanes that share a pixel on some row have envelopes
@@ -272,9 +223,16 @@ class SpanStack:
     def of(cls, xs, top_index, grid: SamplingGrid, width: int) -> "SpanStack":
         """The span stack of lanes xs (K, N) and top_index (K,) sampled on grid.
 
-        The block array must fit MAX_ARRAY_BYTES. stripe_spans runs on chunks
-        of about SPAN_CHUNK_CELLS lane rows, so the build peak is the stack
-        plus one chunk's intermediates, not those of all K lanes at once.
+        A lane covers the image rows at or below its last annotated sample.
+        Its window on a covered row is the ``width`` contiguous pixel columns
+        centered on its interpolated x, clipped to [0, image_width); every
+        other row, and a fully clipped one, has start == end == 0. The x on a
+        row uses np.interp's arithmetic on the two samples around it, so every
+        lane's row is bit-identical to interpolating that lane on its own.
+        width must be an integer >= 1, and the block array must fit
+        MAX_ARRAY_BYTES. Lanes are spanned in chunks of about SPAN_CHUNK_CELLS
+        lane rows, so the build peak is the stack plus one chunk's
+        intermediates, not those of all K lanes at once.
         """
         check_positive_int(width, "stripe width")
         xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
@@ -286,17 +244,35 @@ class SpanStack:
         area = np.empty(k, dtype=np.int64)
         lo = np.empty((k, blocks), dtype=np.int32)
         hi = np.empty_like(lo)
+        y = grid.y_coords
+        band = slice(int(np.ceil(y[-1])), int(np.floor(y[0])) + 1)  # the rows the ladder spans
+        rows = np.arange(band.start, band.stop, dtype=np.float64)
+        # y[seg] <= row < y[seg - 1]; rows in the band keep seg < N
+        seg = np.searchsorted(-y, -rows, side="left")
+        between = rows != y[seg]  # seg >= 1 here, because rows <= y[0]
+        i = seg[between]
         step = max(1, SPAN_CHUNK_CELLS // height)
         for c in range(0, k, step):
             lanes = slice(c, c + step)
-            window = np.zeros((2, min(step, k - c), blocks, ENVELOPE_BLOCK_ROWS), dtype=np.int32)
-            flat = window.reshape(2, window.shape[1], -1)
-            flat[0, :, :height], flat[1, :, :height] = stripe_spans(
-                xs[lanes], top_index[lanes], grid, width)
+            chunk = xs[lanes]
+            x = chunk[:, seg]
+            lower = chunk[:, i]
+            slope = chunk[:, i - 1] - lower
+            slope /= y[i - 1] - y[i]
+            slope *= rows[between] - y[i]
+            slope += lower
+            x[:, between] = slope
+            s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
+            window = np.zeros((2, len(chunk), blocks, ENVELOPE_BLOCK_ROWS), dtype=np.int32)
+            banded = window.reshape(2, len(chunk), -1)[:, :, band]
+            np.clip(s, 0, grid.image_width, out=banded[0])
+            np.clip(s + width, 0, grid.image_width, out=banded[1])
+            # zero the empty windows and the rows the lane does not cover (seg >= top_index)
+            banded[:, (banded[0] >= banded[1]) | (seg >= top_index[lanes, None])] = 0
             start, end = window
             area[lanes] = (end - start).sum(axis=(1, 2))
             lo[lanes] = np.where(end > start, start, np.iinfo(np.int32).max).min(axis=2)
-            hi[lanes] = end.max(axis=2)  # stripe_spans zeroes every uncovered row
+            hi[lanes] = end.max(axis=2)  # every uncovered row is zero
             spans[lanes] = window.transpose(1, 2, 0, 3)
         for array in (spans, area, lo, hi):  # read-only: CandidateSet caches stacks for its lifetime
             array.setflags(write=False)
@@ -318,9 +294,10 @@ class SpanStack:
         hold together exactly when the envelopes meet. Intersections and
         areas are integer pixel counts of the per-row column intervals,
         divided once in float64, so the table equals counting materialized
-        pixel masks.
+        pixel masks. The table must fit MAX_ARRAY_BYTES.
         """
         k, blocks = self.lo.shape
+        check_budget((len(queries), k), 8, "stripe IoU table (queries x lanes)")
         blocked = self.spans.reshape(k * blocks, 2, ENVELOPE_BLOCK_ROWS)
         out = np.zeros((len(queries), k))
         for q in range(len(queries)):
@@ -358,14 +335,3 @@ def stripe_iou(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
     """Intersection over union of the two lanes' stripes; 0.0 when the union is empty."""
     return float(stripe_ious([a], [b], width)[0, 0])
 
-
-def stripe_iou_pixelcount(a: Lane, b: Lane, width: int = DEFAULT_STRIPE_WIDTH) -> float:
-    """Audit-mode stripe IoU that materializes boolean pixel masks."""
-    grid = a.grid
-    starts, ends = stripe_spans(*stack_lanes([a, b], grid), grid, width)
-    cols = np.arange(grid.image_width)
-    mask_a, mask_b = (starts[:, :, None] <= cols) & (cols < ends[:, :, None])
-    union = np.count_nonzero(mask_a | mask_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(mask_a & mask_b) / union

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import DEFAULT_STRIPE_WIDTH, stack_lanes, stripe_ious
+from .geometry import DEFAULT_STRIPE_WIDTH, check_budget, stack_lanes, stripe_ious
 
 TUSIMPLE_POINT_THRESHOLD = 20.0
 TUSIMPLE_LANE_ACCURACY_FLOOR = 0.85
@@ -167,7 +167,8 @@ def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyRe
     over the ground-truth lane's points, 0.0 for a lane without points. A
     predicted lane is false when unmatched or when its accuracy falls below
     TUSIMPLE_LANE_ACCURACY_FLOOR; the same rule marks the ground-truth lane
-    missed.
+    missed. Each image's (predictions, ground truth, samples) float64
+    comparison must fit MAX_ARRAY_BYTES.
     """
     predictions = [list(p) for p in predictions]
     ground_truth = [list(g) for g in ground_truth]
@@ -187,6 +188,8 @@ def tusimple_score(predictions, ground_truth, image_ids=None) -> PointAccuracyRe
         if lanes:
             xs, top = stack_lanes(lanes, lanes[0].grid)
             points = top[n_pred:]
+            check_budget((n_pred, n_gt, xs.shape[1]), 8,
+                         "TuSimple point comparison (predictions x ground truth x samples)")
             close = np.abs(xs[:n_pred, None] - xs[None, n_pred:]) < TUSIMPLE_POINT_THRESHOLD
             extent = np.minimum(top[:n_pred, None], points)
             covered = np.arange(xs.shape[1]) < extent[..., None]

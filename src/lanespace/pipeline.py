@@ -184,6 +184,8 @@ def mwcs(
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.shape != (t,):
         raise DimensionMismatch("need one probability per node")
+    if not np.isfinite(probs).all():
+        raise ValidationError("probabilities must be finite")
     if not -1.0 <= kappa <= 1.0:
         raise ValidationError("kappa must be in [-1, 1]")
 

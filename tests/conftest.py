@@ -11,6 +11,7 @@ from lanespace import (
     cluster_lanes,
     generate_synthetic,
 )
+from lanespace.geometry import SpanStack
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,9 @@ def make_vertical(grid):
 def candidate_lanes(candidates):
     """The rows of a CandidateSet as Lane objects."""
     return [Lane(xs, top, candidates.grid) for xs, top in zip(candidates.xs, candidates.top_index)]
+
+
+def row_spans(xs, top_index, grid, width):
+    """A lane stack's (start, end) windows, each (K, image_height), read from SpanStack.of."""
+    spans = SpanStack.of(xs, top_index, grid, width).spans
+    return spans.transpose(2, 0, 1, 3).reshape(2, len(spans), -1)[:, :, : grid.image_height]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import candidate_lanes
+from conftest import candidate_lanes, row_spans
 from lanespace import (
     CandidateSet,
     ClusteringConfig,
@@ -34,7 +34,7 @@ from lanespace import (
     uniform_height_grid,
 )
 from lanespace.candidates import MAX_ITERS, TOLERANCE, _assign, _kmeans_plus_plus
-from lanespace.geometry import SpanStack, stack_lanes, stripe_spans
+from lanespace.geometry import SpanStack, stack_lanes
 
 
 def full_kernel(span, many):
@@ -429,8 +429,8 @@ class TestSpanStackIous:
         query_top[:2] = [0, 1]
         for width in (1, 10, 30):
             queries = SpanStack.of(query_xs, query_top, grid, width)
-            expected = full_table(stripe_spans(query_xs, query_top, grid, width),
-                                  stripe_spans(xs, top, grid, width))
+            expected = full_table(row_spans(query_xs, query_top, grid, width),
+                                  row_spans(xs, top, grid, width))
             assert np.array_equal(cands.spans(width).ious(queries), expected)
 
     @pytest.mark.parametrize("ladder", list(LADDERS))
@@ -438,7 +438,7 @@ class TestSpanStackIous:
         grid = LADDERS[ladder]
         xs, top = random_stack(np.random.default_rng(3), grid, 60)
         cands = CandidateSet(xs, top, grid, np.zeros((60, 2)), "seeded")
-        starts, ends = stripe_spans(xs, top, grid, 30)
+        starts, ends = row_spans(xs, top, grid, 30)
         for threshold in (0.3, 0.5, 0.3):
             for i in range(60):
                 expected = full_kernel((starts[i], ends[i]), (starts, ends)) > threshold
@@ -453,7 +453,7 @@ class TestSpanStackIous:
         xs, top = random_stack(np.random.default_rng(11), grid, 48)
         lanes = [Lane(x, t, grid) for x, t in zip(xs, top)]
         for width in (1, 10, 30):
-            spans = stripe_spans(xs, top, grid, width)
+            spans = row_spans(xs, top, grid, width)
             expected = full_table([a[::2] for a in spans], [a[1::2] for a in spans])
             assert np.array_equal(stripe_ious(lanes[::2], lanes[1::2], width), expected)
 
@@ -473,8 +473,8 @@ class TestSpanStackIous:
         stack = SpanStack.of(xs, top, grid, 30)
         meets = np.maximum(stack.lo[0], stack.lo[1]) < np.minimum(stack.hi[0], stack.hi[1])
         assert np.array_equal(np.flatnonzero(meets), [10])
-        expected = full_table(stripe_spans(xs[1:], top[1:], grid, 30),
-                              stripe_spans(xs[:1], top[:1], grid, 30))
+        expected = full_table(row_spans(xs[1:], top[1:], grid, 30),
+                              row_spans(xs[:1], top[:1], grid, 30))
         assert 0.0 < expected[0, 0] < 1.0
         assert np.array_equal(stack[:1].ious(stack[1:]), expected)
         assert np.array_equal(stack[1:].ious(stack[:1]), expected)
@@ -542,8 +542,8 @@ class TestOracleIouTable:
         grid = basis.grid
         heights = uniform_height_grid(grid, 25)
         scores, features = oracle_scores(candidates, gt, basis, heights)
-        cand_spans = stripe_spans(candidates.xs, candidates.top_index, grid, 30)
-        gt_spans = stripe_spans(*stack_lanes(gt, grid), grid, 30)
+        cand_spans = row_spans(candidates.xs, candidates.top_index, grid, 30)
+        gt_spans = row_spans(*stack_lanes(gt, grid), grid, 30)
         iou = np.column_stack([full_kernel(span, cand_spans) for span in zip(*gt_spans)])
         assert np.array_equal(scores.probabilities, iou.max(axis=1))
         best_gt = iou.argmax(axis=1)
@@ -594,8 +594,8 @@ class TestMeanBestIou:
         test = train_lanes[:80]
         for cands in (candidates, straight_anchor_grid(basis, 300)):
             grid = cands.grid
-            starts, ends = stripe_spans(*stack_lanes(test, grid), grid, width)
-            spans = stripe_spans(cands.xs, cands.top_index, grid, width)
+            starts, ends = row_spans(*stack_lanes(test, grid), grid, width)
+            spans = row_spans(cands.xs, cands.top_index, grid, width)
             best = np.empty(len(test))
             for i in range(len(test)):
                 best[i] = full_kernel((starts[i], ends[i]), spans).max()

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import candidate_lanes
+from conftest import candidate_lanes, row_spans
 from lanespace import (
     GridMismatch,
     InvalidAnnotation,
@@ -16,11 +18,10 @@ from lanespace import (
     generate_synthetic,
     resample_polyline,
     stripe_iou,
-    stripe_iou_pixelcount,
     stripe_ious,
     uniform_height_grid,
 )
-from lanespace.geometry import MAX_ARRAY_BYTES, check_budget, stack_lanes, stripe_spans
+from lanespace.geometry import DEFAULT_STRIPE_WIDTH, MAX_ARRAY_BYTES, check_budget, stack_lanes
 
 
 def interp_oracle(points, y):
@@ -73,8 +74,20 @@ def loop_stripe_spans(lane, width):
 
 def spans_of(lane, width):
     """Row of a one-lane stack: (start, end) of length image_height."""
-    starts, ends = stripe_spans(*stack_lanes([lane], lane.grid), lane.grid, width)
+    starts, ends = row_spans(*stack_lanes([lane], lane.grid), lane.grid, width)
     return starts[0], ends[0]
+
+
+def stripe_iou_pixelcount(a, b, width=DEFAULT_STRIPE_WIDTH):
+    """Audit stripe IoU that counts boolean pixel masks built from the span stack's windows."""
+    grid = a.grid
+    starts, ends = row_spans(*stack_lanes([a, b], grid), grid, width)
+    cols = np.arange(grid.image_width)
+    mask_a, mask_b = (starts[:, :, None] <= cols) & (cols < ends[:, :, None])
+    union = np.count_nonzero(mask_a | mask_b)
+    if union == 0:
+        return 0.0
+    return np.count_nonzero(mask_a & mask_b) / union
 
 
 def covered_rows(lane, width):
@@ -285,6 +298,15 @@ class TestStripeIous:
         assert pixel.any()
         assert np.array_equal(stripe_ious(lanes, cands), pixel)
 
+    def test_budget_refuses_a_large_table_before_allocating(self):
+        # one 24-row block keeps the spans small; a (6000, 6000) float64 table takes 288 MB
+        grid = SamplingGrid(1280, 24, np.linspace(23.0, 0.0, 4))
+        lanes = [Lane(np.full(4, x), 4, grid) for x in np.linspace(0.0, 1279.0, 6000)]
+        begin = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"stripe IoU table \(queries x lanes\)"):
+            stripe_ious(lanes, lanes)
+        assert time.perf_counter() - begin < 1.0
+
 
 class TestStripeSpans:
     def test_spans_match_mask(self, grid, make_vertical):
@@ -317,7 +339,7 @@ class TestStripeSpans:
             xs[10:20] += rng.integers(-3, 4, size=(10, 1)) * rise
             top = rng.integers(0, n + 1, size=80)
             top[:2] = [0, 1]
-            starts, ends = stripe_spans(xs, top, grid, width)
+            starts, ends = row_spans(xs, top, grid, width)
             for k in range(80):
                 start, end = loop_stripe_spans(Lane(xs[k], int(top[k]), grid), width)
                 assert np.array_equal(starts[k], start)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,14 @@ class TestTusimpleScore:
         gt = [[make_vertical(200.0)], [make_vertical(500.0)]]
         with pytest.raises(ValidationError, match="one image id per ground-truth list"):
             tusimple_score(gt, gt, image_ids=ids)
+
+    def test_budget_refuses_a_large_image_before_broadcasting(self, make_vertical):
+        # (1000, 1000, 50) float64 distances would take 400 MB
+        lanes = [make_vertical(x) for x in np.linspace(0.0, 1279.0, 1000)]
+        begin = time.perf_counter()
+        with pytest.raises(ValidationError, match="TuSimple point comparison"):
+            tusimple_score([lanes], [lanes])
+        assert time.perf_counter() - begin < 1.0
 
     def test_offset_beyond_threshold_counts_false(self, grid, make_vertical):
         gt_lane = make_vertical(400.0)

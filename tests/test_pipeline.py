@@ -316,11 +316,15 @@ class TestMwcs:
         assert result.compatibility == pytest.approx(0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_relations(self, bad):
+    def test_rejects_non_finite_relations_and_probabilities(self, bad):
         relation = np.full((3, 3), 0.9)
         relation[0, 1] = bad
         with pytest.raises(ValidationError, match="relation matrix must be finite"):
             mwcs(relation, np.full(3, 0.5), kappa=0.3)
+        # unchecked, [nan, 0.5] fell back to node 0 and [0.2, inf] to node 1
+        for probabilities in ([bad, 0.5], [0.2, bad]):
+            with pytest.raises(ValidationError, match="probabilities must be finite"):
+                mwcs(np.full((2, 2), -1.0), np.array(probabilities), kappa=0.0)
 
     def test_too_many_nodes(self):
         t = MAX_CLIQUE_NODES + 1
