@@ -27,15 +27,12 @@ from .datasets import (
     write_tusimple_jsonl,
 )
 from .eigenspace import (
-    CoefficientVector,
     EigenBasis,
     LaneMatrix,
-    approximation_error,
     build_basis,
     project,
     project_columns,
     reconstruct,
-    trailing_energy,
 )
 from .errors import (
     DimensionMismatch,
@@ -90,7 +87,6 @@ __all__ = [
     "CandidateSet",
     "CliqueResult",
     "ClusteringConfig",
-    "CoefficientVector",
     "DEFAULT_STRIPE_WIDTH",
     "DatasetRecord",
     "DetectionConfig",
@@ -117,7 +113,6 @@ __all__ = [
     "TooManyNodes",
     "ValidationError",
     "VersionError",
-    "approximation_error",
     "build_basis",
     "cluster_lanes",
     "detect_image",
@@ -143,7 +138,6 @@ __all__ = [
     "straight_anchor_grid",
     "stripe_iou",
     "stripe_ious",
-    "trailing_energy",
     "tusimple_score",
     "uniform_height_grid",
     "write_csv",

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, GridMismatch, TooManyClusters, ValidationError
-from .eigenspace import EigenBasis, LaneMatrix, project_columns
+from .eigenspace import EigenBasis, LaneMatrix, project, project_columns, reconstruct
 from .geometry import (
     DEFAULT_STRIPE_WIDTH,
+    MAX_ARRAY_BYTES,
     SamplingGrid,
     SpanStack,
     check_budget,
@@ -51,8 +52,9 @@ class CandidateSet:
 
     The set is frozen and its arrays are read-only, so its caches stay valid
     for its lifetime: one SpanStack per stripe width, and the suppression
-    rows per (width, threshold, candidate), kept bit-packed, at most
-    K * K / 8 bytes per (width, threshold).
+    rows per (width, threshold, candidate), kept bit-packed. The rows kept
+    stay within MAX_ARRAY_BYTES in all; rows past that are recomputed on
+    every call.
     """
 
     xs: np.ndarray
@@ -90,14 +92,17 @@ class CandidateSet:
         """Boolean (k,) row: candidates whose stripe IoU with candidate i exceeds threshold.
 
         The row depends only on the set, so it is computed once per
-        (width, threshold, i) and kept bit-packed.
+        (width, threshold, i) and kept bit-packed while the memo has room.
         """
         spans = self.spans(width)
         key = (width, float(threshold), int(i))
-        if key not in self._row_cache:
-            row = spans.ious(spans[i : i + 1])[0] > threshold
-            self._row_cache[key] = np.packbits(row)
-        return np.unpackbits(self._row_cache[key], count=self.k).view(bool)
+        packed = self._row_cache.get(key)
+        if packed is None:
+            packed = np.packbits(spans.ious(spans[i : i + 1])[0] > threshold)
+            # every packed row has the same size, so this is the memo's total
+            if (len(self._row_cache) + 1) * packed.nbytes <= MAX_ARRAY_BYTES:
+                self._row_cache[key] = packed
+        return np.unpackbits(packed, count=self.k).view(bool)
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,8 +201,7 @@ def cluster_lanes(
         raise GridMismatch("lanes and basis use different grids")
     coeffs = project_columns(basis, matrix)
     centroids, _, _ = lloyd_kmeans(coeffs, config.k, config.seed)
-    # one u @ c per centroid, exactly as reconstruct computes it
-    xs = np.array([basis.u @ c for c in centroids])
+    xs = reconstruct(basis, centroids)
     top_index = np.full(len(xs), basis.grid.n_samples)
     return CandidateSet(xs, top_index, basis.grid, centroids, basis.content_id)
 
@@ -228,9 +232,8 @@ def straight_anchor_grid(basis: EigenBasis, n: int) -> CandidateSet:
     # row-major over (position, angle), truncated to n
     slopes = np.tan(angles)[:, None] * rise
     xs = (positions[:, None, None] + slopes).reshape(-1, grid.n_samples)[:n]
-    coeffs = np.array([basis.u.T @ row for row in xs])
     top_index = np.full(n, grid.n_samples)
-    return CandidateSet(xs, top_index, grid, coeffs, basis.content_id)
+    return CandidateSet(xs, top_index, grid, project(basis, xs), basis.content_id)
 
 
 def mean_best_iou(

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, RankDeficient, ValidationError
-from .geometry import Lane, SamplingGrid, check_positive_int, stack_lanes
+from .geometry import SamplingGrid, check_positive_int, stack_lanes
 
 # Relative singular-value cutoff defining the numerical rank.
 RANK_CUTOFF = 1e-12
-
-# Coefficient vectors are plain 1-D float arrays of length basis.m;
-# the basis columns are unit-norm so coefficients are in pixels.
-CoefficientVector = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,49 +127,35 @@ def build_basis(matrix: LaneMatrix, m: int) -> EigenBasis:
     return EigenBasis(_fix_signs(u[:, :m]), s[:rank], matrix.grid)
 
 
-def project(basis: EigenBasis, lane: Lane) -> CoefficientVector:
-    """Coefficients of the lane in the basis: u^T @ xs."""
-    if lane.grid != basis.grid:
-        raise GridMismatch("lane and basis use different grids")
-    return basis.u.T @ lane.xs
+def project(basis: EigenBasis, xs) -> np.ndarray:
+    """Coefficients (K, m), in pixels, of the lane stack xs (K, N): one gemv u^T @ row per lane.
+
+    One gemm would round differently; straight anchors and oracle offsets keep these bits.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != basis.grid.n_samples:
+        raise DimensionMismatch(f"lane stack {xs.shape} is not (K, {basis.grid.n_samples})")
+    return np.array([basis.u.T @ row for row in xs]).reshape(len(xs), basis.m)
 
 
 def project_columns(basis: EigenBasis, matrix: LaneMatrix) -> np.ndarray:
-    """Project every column of a lane matrix at once; returns (L, m)."""
+    """Coefficients (L, m) of every column of a lane matrix, in one gemm.
+
+    Separate from project: clustering keeps this product's bits, and criterion 3 imports it.
+    """
     if matrix.grid != basis.grid:
         raise GridMismatch("matrix and basis use different grids")
     return (basis.u.T @ matrix.columns).T
 
 
-def reconstruct(basis: EigenBasis, c: CoefficientVector) -> Lane:
-    """Lane with xs = u @ c. Reconstructions are full-length (top_index = N)."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (basis.m,):
-        raise DimensionMismatch(
-            f"coefficient length {c.shape} does not match basis rank {basis.m}"
-        )
-    return Lane(basis.u @ c, basis.grid.n_samples, basis.grid)
-
-
-def approximation_error(matrix: LaneMatrix, basis: EigenBasis) -> float:
-    """Sum of squared per-lane residuals against the rank-m reconstruction.
-
-    For the matrix the basis was built from, this equals the trailing
-    singular-value energy sum(s[m:] ** 2) up to roundoff.
-    """
-    if matrix.grid != basis.grid:
-        raise GridMismatch("matrix and basis use different grids")
-    residual = low_rank_residual(matrix.columns, basis.u)
-    return float(np.sum(residual * residual))
+def reconstruct(basis: EigenBasis, coefficients) -> np.ndarray:
+    """Lane stack xs (K, N) of the coefficients (K, m): one gemv u @ row per row, as in project."""
+    c = np.asarray(coefficients, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] != basis.m:
+        raise DimensionMismatch(f"coefficient stack {c.shape} does not match basis rank {basis.m}")
+    return np.array([basis.u @ row for row in c]).reshape(len(c), basis.grid.n_samples)
 
 
 def low_rank_residual(columns: np.ndarray, u: np.ndarray) -> np.ndarray:
     """columns minus their projection onto the orthonormal columns of u."""
     return columns - u @ (u.T @ columns)
-
-
-def trailing_energy(basis: EigenBasis, m: int | None = None) -> float:
-    """sum(s_i^2) over the spectrum beyond the first m values."""
-    if m is None:
-        m = basis.m
-    return float(np.sum(basis.singular_values[m:] ** 2))

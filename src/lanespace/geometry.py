@@ -262,6 +262,8 @@ class SpanStack:
             slope *= rows[between] - y[i]
             slope += lower
             x[:, between] = slope
+            # a window a width off the image is empty either way; clipped, every finite x casts
+            np.clip(x, -width, grid.image_width + width, out=x)
             s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
             window = np.zeros((2, len(chunk), blocks, ENVELOPE_BLOCK_ROWS), dtype=np.int32)
             banded = window.reshape(2, len(chunk), -1)[:, :, band]

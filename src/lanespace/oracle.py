@@ -95,7 +95,7 @@ def oracle_scores(
         winners = np.argmax(iou, axis=0)
         won = iou[winners, np.arange(len(gt_lanes))] > config.iou_floor
         champion[winners[won]] = True
-        gt_coeffs = np.array([project(basis, gt) for gt in gt_lanes])
+        gt_coeffs = project(basis, gt_xs)
         matched = best_iou > config.iou_floor
         offsets[matched] = gt_coeffs[best_gt[matched]] - candidates.coefficients[matched]
         # one-hot at the bin nearest each lane's annotated ending height

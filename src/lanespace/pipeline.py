@@ -18,16 +18,13 @@ import numpy as np
 
 from .candidates import CandidateSet
 from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
-from .eigenspace import EigenBasis
+from .eigenspace import EigenBasis, reconstruct
 from .geometry import DEFAULT_STRIPE_WIDTH, Lane, check_positive_int
 
 # The exact clique search is a branch and bound whose worst case still
 # grows as 2^T (mixed-sign complete graphs at kappa=-1 take 0.2-1.2 s at 25);
 # NMS keeps the node count at T (default 10) anyway.
 MAX_CLIQUE_NODES = 25
-
-# A relation matrix is a dense (T, T) float array with entries in [-1, 1].
-RelationMatrix = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +123,12 @@ def nms_select(
     return picks
 
 
-def relation_from_features(features: np.ndarray) -> RelationMatrix:
+def relation_from_features(features: np.ndarray) -> np.ndarray:
     """Pairwise cosine relation scores between per-lane feature vectors.
 
-    Rows are l2-normalized before the Gram product, so every entry lands in
-    [-1, 1]. All-zero feature rows carry no evidence: they relate 0 to
-    everything. Features must be finite.
+    Returns the dense (T, T) relation matrix. Rows are l2-normalized before
+    the Gram product, so every entry lands in [-1, 1]. All-zero feature rows
+    carry no evidence: they relate 0 to everything. Features must be finite.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
@@ -149,7 +146,7 @@ def relation_from_features(features: np.ndarray) -> RelationMatrix:
     return relation
 
 
-def _edge_weights(relation: RelationMatrix) -> np.ndarray:
+def _edge_weights(relation: np.ndarray) -> np.ndarray:
     r = np.asarray(relation, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError("relation matrix must be square")
@@ -159,7 +156,7 @@ def _edge_weights(relation: RelationMatrix) -> np.ndarray:
 
 
 def mwcs(
-    relation: RelationMatrix, probabilities: np.ndarray, kappa: float
+    relation: np.ndarray, probabilities: np.ndarray, kappa: float
 ) -> CliqueResult:
     """Exact maximum-weight clique over the thresholded relation graph.
 
@@ -268,8 +265,6 @@ def finalize(
     if np.any((members < 0) | (members >= candidates.k)):
         raise IndexError(f"clique members {members.tolist()} reach outside the candidate set")
     coefficients = candidates.coefficients[members]
-    if coefficients.shape[1] != basis.m:
-        raise DimensionMismatch("coefficient length does not match basis rank")
     if use_offsets:
         offsets = scores.offsets[members]
         if offsets.shape != coefficients.shape:
@@ -280,8 +275,8 @@ def finalize(
         y_end = heights[np.argmax(scores.height_distributions[members], axis=1)]
         # samples at or below y_end: a prefix of the bottom-first ladder
         top_index = np.searchsorted(-basis.grid.y_coords, -y_end, side="right")
-    # one gemv per member, as reconstruct computes it, keeps every xs bit
-    return [Lane(basis.u @ c, top, basis.grid) for c, top in zip(coefficients, top_index)]
+    xs = reconstruct(basis, coefficients)
+    return [Lane(row, top, basis.grid) for row, top in zip(xs, top_index)]
 
 
 @dataclass(frozen=True)

@@ -90,16 +90,16 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
     )
 
 
-def _write_lines(objs, path):
-    """Write each object as one line of JSON."""
+def _write_lines(kind: str, records, path):
+    """Write each record as one line of JSON: the versioned header of kind, then its fields."""
     with open_for_writing(path) as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj) + "\n")
+        for fields in records:
+            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}) + "\n")
 
 
 def save_json(kind: str, fields: dict, path):
-    """Write one object of the given kind: the versioned header, then fields."""
-    _write_lines([{"schema_version": SCHEMA_VERSION, "kind": kind, **fields}], path)
+    """Write one object of the given kind as a single line of JSON."""
+    _write_lines(kind, [fields], path)
 
 
 def _parse(text: str, path, kind: str) -> dict:
@@ -175,10 +175,9 @@ def save_image_scores(entries, path):
     entries yields (image_id, CandidateScores, features, height_grid).
     """
     _write_lines(
+        "image_scores",
         (
             {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "image_scores",
                 "image_id": image_id,
                 "probabilities": _encode_array(scores.probabilities),
                 "height_distributions": _encode_array(scores.height_distributions),
@@ -215,10 +214,9 @@ def save_detections(entries, path):
     entries yields (image_id, list_of_lanes, clique_compatibility).
     """
     _write_lines(
+        "detections",
         (
             {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "detections",
                 "image_id": image_id,
                 "lanes": [
                     {"xs": lane.xs.tolist(), "top_index": lane.top_index} for lane in lanes

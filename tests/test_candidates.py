@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import candidate_lanes, row_spans
 from lanespace import (
+    CandidateScores,
     CandidateSet,
     ClusteringConfig,
     DetectionConfig,
@@ -23,6 +24,7 @@ from lanespace import (
     cluster_lanes,
     lloyd_kmeans,
     mean_best_iou,
+    nms_select,
     oracle_scores,
     project,
     project_columns,
@@ -262,8 +264,7 @@ class TestClusterCountMustBeAnInteger:
 
 class TestClusterLanes:
     def test_candidate_set_consistency(self, basis, candidates):
-        for xs, c in zip(candidates.xs, candidates.coefficients):
-            assert np.array_equal(xs, reconstruct(basis, c).xs)
+        assert np.array_equal(candidates.xs, reconstruct(basis, candidates.coefficients))
         assert np.array_equal(candidates.top_index, np.full(candidates.k, basis.grid.n_samples))
         assert candidates.basis_id == basis.content_id
 
@@ -447,6 +448,20 @@ class TestSpanStackIous:
                 assert np.array_equal(row, expected)
                 row[:] = ~row  # the caller's copy, not the memoized row
 
+    def test_memo_over_the_budget_keeps_nms_picks(self, candidates, monkeypatch):
+        k = candidates.k
+        probabilities = np.random.default_rng(2).uniform(size=k)
+        scores = CandidateScores(probabilities, np.ones((k, 1)), np.zeros((k, 1)))
+        expected = nms_select(dataclasses.replace(candidates), scores, t=10)
+        assert len(expected) > 3
+        budget = 3 * -(-k // 8)  # three packed rows
+        monkeypatch.setattr("lanespace.candidates.MAX_ARRAY_BYTES", budget)
+        bounded = dataclasses.replace(candidates)
+        for _ in range(2):  # the second run reads the kept rows and recomputes the rest
+            assert nms_select(bounded, scores, t=10) == expected
+        assert len(bounded._row_cache) == 3
+        assert sum(row.nbytes for row in bounded._row_cache.values()) <= budget
+
     @pytest.mark.parametrize("ladder", list(LADDERS))
     def test_stripe_ious_equals_full_kernel(self, ladder):
         grid = LADDERS[ladder]
@@ -548,7 +563,7 @@ class TestOracleIouTable:
         assert np.array_equal(scores.probabilities, iou.max(axis=1))
         best_gt = iou.argmax(axis=1)
         matched = iou.max(axis=1) > 0.25
-        gt_coeffs = np.array([project(basis, lane) for lane in gt])
+        gt_coeffs = project(basis, stack_lanes(gt, grid)[0])
         expected = gt_coeffs[best_gt[matched]] - candidates.coefficients[matched]
         assert np.array_equal(scores.offsets[matched], expected)
         winners = iou.argmax(axis=0)

@@ -7,18 +7,16 @@ from conftest import candidate_lanes
 from lanespace import (
     DimensionMismatch,
     EigenBasis,
-    GridMismatch,
     Lane,
     LaneMatrix,
     RankDeficient,
     SamplingGrid,
-    approximation_error,
     build_basis,
     project,
     reconstruct,
     stripe_iou,
-    trailing_energy,
 )
+from lanespace.eigenspace import low_rank_residual
 
 
 def singular_values_by_power_iteration(a, tol=1e-14, max_iter=20000):
@@ -59,6 +57,16 @@ def singular_values_by_power_iteration(a, tol=1e-14, max_iter=20000):
 
 def lane_from(grid, xs):
     return Lane(np.asarray(xs, dtype=np.float64), grid.n_samples, grid)
+
+
+def approximation_error(matrix, basis):
+    """Sum of squared residuals of the matrix's columns against the rank-m basis."""
+    return float(np.sum(low_rank_residual(matrix.columns, basis.u) ** 2))
+
+
+def trailing_energy(basis, m):
+    """sum(s_i^2) over the spectrum beyond the first m singular values."""
+    return float(np.sum(basis.singular_values[m:] ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -116,17 +124,21 @@ class TestBuildBasis:
 class TestProjectReconstruct:
     def test_project_reconstruct_roundtrip(self, basis):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            c = rng.normal(scale=200.0, size=basis.m)
-            lane = reconstruct(basis, c)
-            assert np.allclose(project(basis, lane), c, atol=1e-9)
+        c = rng.normal(scale=200.0, size=(20, basis.m))
+        assert np.allclose(project(basis, reconstruct(basis, c)), c, atol=1e-9)
+
+    def test_each_row_is_its_own_gemv(self, basis, candidates, train_lanes):
+        # one gemm rounds differently; candidates, offsets and detections keep the gemv bits
+        xs = LaneMatrix.from_lanes(train_lanes).columns.T
+        assert all(map(np.array_equal, project(basis, xs), (basis.u.T @ x for x in xs)))
+        c = candidates.coefficients
+        assert all(map(np.array_equal, reconstruct(basis, c), (basis.u @ row for row in c)))
 
     def test_scaled_basis_column_projects_to_unit_vector(self, basis):
         sigma1 = basis.singular_values[0]
-        lane = Lane(sigma1 * basis.u[:, 0], basis.grid.n_samples, basis.grid)
-        c = project(basis, lane)
-        expected = np.zeros(basis.m)
-        expected[0] = sigma1
+        c = project(basis, sigma1 * basis.u[:, :1].T)
+        expected = np.zeros((1, basis.m))
+        expected[0, 0] = sigma1
         assert np.allclose(c, expected, atol=1e-9)
 
     def test_residual_non_increasing_in_rank(self, train_lanes):
@@ -141,32 +153,30 @@ class TestProjectReconstruct:
         assert np.all(residuals[1:] <= residuals[:-1] + 1e-9)
 
     def test_reconstruct_zero_gives_zero_lane(self, basis):
-        lane = reconstruct(basis, np.zeros(basis.m))
-        assert np.allclose(lane.xs, 0.0)
-        assert lane.top_index == basis.grid.n_samples
+        xs = reconstruct(basis, np.zeros((1, basis.m)))
+        assert xs.shape == (1, basis.grid.n_samples)
+        assert np.allclose(xs, 0.0)
 
     def test_reconstruct_basis_column(self, basis):
-        c = np.zeros(basis.m)
-        c[0] = basis.singular_values[0]
-        lane = reconstruct(basis, c)
-        assert np.allclose(lane.xs, basis.singular_values[0] * basis.u[:, 0])
+        c = np.zeros((1, basis.m))
+        c[0, 0] = basis.singular_values[0]
+        xs = reconstruct(basis, c)
+        assert np.allclose(xs[0], basis.singular_values[0] * basis.u[:, 0])
 
     def test_dimension_mismatch(self, basis):
         with pytest.raises(DimensionMismatch):
-            reconstruct(basis, np.zeros(basis.m + 1))
+            reconstruct(basis, np.zeros((1, basis.m + 1)))
 
     def test_grid_mismatch(self, basis):
+        # a stack sampled on a ladder of another length has no coefficients here
         other = SamplingGrid.uniform(1280, 720, basis.grid.n_samples + 1)
-        lane = Lane(np.zeros(other.n_samples), other.n_samples, other)
-        with pytest.raises(GridMismatch):
-            project(basis, lane)
+        with pytest.raises(DimensionMismatch):
+            project(basis, np.zeros((2, other.n_samples)))
 
     def test_total_residual_equals_trailing_energy(self, train_lanes, basis):
-        total = 0.0
-        for lane in train_lanes:
-            approx = reconstruct(basis, project(basis, lane))
-            total += float(np.sum((lane.xs - approx.xs) ** 2))
-        assert total == pytest.approx(trailing_energy(basis), rel=1e-6)
+        xs = LaneMatrix.from_lanes(train_lanes).columns.T
+        total = float(np.sum((xs - reconstruct(basis, project(basis, xs))) ** 2))
+        assert total == pytest.approx(trailing_energy(basis, basis.m), rel=1e-6)
 
 
 class TestApproximationError:
@@ -213,9 +223,7 @@ class TestApproximationError:
 class TestRefineAndIsometry:
     def test_zero_delta_is_identity(self, basis):
         c = np.linspace(-50.0, 80.0, basis.m)
-        assert np.allclose(
-            reconstruct(basis, c + np.zeros(basis.m)).xs, reconstruct(basis, c).xs
-        )
+        assert np.array_equal(reconstruct(basis, [c + np.zeros(basis.m)]), reconstruct(basis, [c]))
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -223,9 +231,8 @@ class TestRefineAndIsometry:
         floats = st.floats(min_value=-300.0, max_value=300.0)
         c = np.array(data.draw(st.lists(floats, min_size=basis.m, max_size=basis.m)))
         d = np.array(data.draw(st.lists(floats, min_size=basis.m, max_size=basis.m)))
-        moved = reconstruct(basis, c + d)
-        base = reconstruct(basis, c)
-        assert np.linalg.norm(moved.xs - base.xs) == pytest.approx(
+        moved, base = reconstruct(basis, [c + d, c])
+        assert np.linalg.norm(moved - base) == pytest.approx(
             np.linalg.norm(d), abs=1e-9
         )
 
@@ -243,8 +250,8 @@ class TestRefineAndIsometry:
         target = train_lanes[7]
         cand_idx = 3
         c = candidates.coefficients[cand_idx]
-        delta = project(basis, target) - c
-        refined = reconstruct(basis, c + delta)
+        delta = project(basis, [target.xs])[0] - c
+        refined = Lane(reconstruct(basis, [c + delta])[0], basis.grid.n_samples, basis.grid)
         before = stripe_iou(candidate_lanes(candidates)[cand_idx], target, 30)
         after = stripe_iou(refined, target, 30)
         assert after >= before
@@ -253,7 +260,7 @@ class TestRefineAndIsometry:
     def test_mismatched_delta_length(self, basis):
         # an offset carrying more coefficients than the basis rank
         with pytest.raises(DimensionMismatch):
-            reconstruct(basis, np.zeros(basis.m + 2) + np.ones(basis.m + 2))
+            reconstruct(basis, np.zeros((1, basis.m + 2)) + np.ones(basis.m + 2))
 
 
 class TestEigenBasisValidation:

@@ -244,6 +244,14 @@ class TestStripeIou:
         with pytest.raises(GridMismatch):
             stripe_iou(make_vertical(100.0), other, 30)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lanes_far_beyond_int64_score_zero_without_warnings(self, make_vertical):
+        # x = 1e20 is finite but past int64; the window cast must not see it
+        near = make_vertical(100.0)
+        for x in (1e20, -1e20):
+            assert stripe_iou(make_vertical(x), near, 30) == 0.0
+            assert stripe_iou(make_vertical(x), make_vertical(x), 30) == 0.0
+
     def test_empty_union_returns_zero(self, make_vertical):
         a = make_vertical(100.0, top_index=0)
         b = make_vertical(200.0, top_index=0)

@@ -24,7 +24,7 @@ def loop_oracle(candidates, gt_lanes, basis, heights, iou_floor):
         j = int(np.argmax(iou[i]))
         gt = gt_lanes[j]
         if iou[i, j] > iou_floor:
-            offsets[i] = project(basis, gt) - candidates.coefficients[i]
+            offsets[i] = project(basis, [gt.xs])[0] - candidates.coefficients[i]
         y_end = gt.grid.y_coords[max(gt.top_index - 1, 0)]
         height_dist[i, int(np.argmin(np.abs(heights - y_end)))] = 1.0
     return iou.max(axis=1), offsets, height_dist
@@ -55,7 +55,7 @@ class TestOracleScores:
     def test_offsets_point_at_projected_target(self, basis, candidates, heights, train_lanes):
         gt = [train_lanes[0]]
         scores, _ = oracle_scores(candidates, gt, basis, heights)
-        target = project(basis, gt[0])
+        target = project(basis, [gt[0].xs])[0]
         strong = scores.probabilities > 0.25
         assert strong.any()
         for i in np.nonzero(strong)[0]:

@@ -516,15 +516,15 @@ class TestFinalize:
         heights = uniform_height_grid(basis.grid, 25)
         k = candidates.k
         offsets = np.zeros((k, basis.m))
-        offsets[0] = project(basis, target) - candidates.coefficients[0]
+        target_coeffs = project(basis, [target.xs])
+        offsets[0] = target_coeffs[0] - candidates.coefficients[0]
         height_dist = np.zeros((k, 25))
         height_dist[:, -1] = 1.0
         scores = CandidateScores(np.full(k, 0.5), height_dist, offsets)
         lanes = finalize(
             basis, candidates, CliqueResult((0,), 0.0), scores, heights
         )
-        expected = reconstruct(basis, project(basis, target))
-        assert np.allclose(lanes[0].xs, expected.xs, atol=1e-9)
+        assert np.allclose(lanes[0].xs, reconstruct(basis, target_coeffs)[0], atol=1e-9)
 
     def test_height_truncation(self, basis, candidates):
         heights = uniform_height_grid(basis.grid, 25)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lanespace"
-CLI_TESTS = Path(__file__).resolve().parent / "test_cli.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lanespace"
+CLI_TESTS = ROOT / "tests" / "test_cli.py"
+ACCEPTANCE_TESTS = ROOT / "tests" / "test_acceptance.py"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +56,45 @@ def test_bad_input_rows_have_unique_names():
     names = literal_keys(CLI_TESTS.read_text(), "BAD_INPUTS")
     assert names
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names and attribute names, not the ones it defines or stores."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(source: str) -> set[str]:
+    """Names a module imports with from ... import."""
+    tree = ast.parse(source)
+    nodes = (node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom))
+    return {alias.name for node in nodes for alias in node.names}
+
+
+def exported_names(source: str) -> list[str]:
+    """The string entries of a module's __all__ list."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def test_name_helpers():
+    source = '__all__ = ["f", "g"]\nfrom m import h\ndef f(x):\n    y = x.attr\n    return g(y)\n'
+    assert exported_names(source) == ["f", "g"]
+    assert read_names(source) == {"attr", "g", "x", "y"}
+    assert imported_names(source) == {"h"}
+
+
+def test_every_export_has_a_reader():
+    # an export that only its own tests call is dead code
+    read = set().union(*(read_names(path.read_text()) for path in MODULES + SCRIPTS))
+    read |= imported_names(ACCEPTANCE_TESTS.read_text())
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    assert exported
+    assert sorted(set(exported) - read) == []
