@@ -93,12 +93,21 @@ class CandidateSet:
 
         The row depends only on the set, so it is computed once per
         (width, threshold, i) and kept bit-packed while the memo has room.
+        Only the lanes whose SpanStack.overlap_bound with candidate i leaves
+        room for an IoU above threshold go through the kernel.
         """
         spans = self.spans(width)
         key = (width, float(threshold), int(i))
         packed = self._row_cache.get(key)
         if packed is None:
-            packed = np.packbits(spans.ious(spans[i : i + 1])[0] > threshold)
+            # IoU > t means inter * (1 + t) > t * (area_i + area_j); the 1e-9
+            # margin dwarfs float64 rounding, so every lane left out has IoU <= t
+            bound = spans.overlap_bound(i, width)
+            room = threshold * (spans.area + spans.area[i]) * (1.0 - 1e-9)
+            near = np.flatnonzero(bound * (1.0 + threshold) >= room)
+            row = np.zeros(self.k, dtype=bool)
+            row[near] = spans[near].ious(spans[i : i + 1])[0] > threshold
+            packed = np.packbits(row)
             # every packed row has the same size, so this is the memo's total
             if (len(self._row_cache) + 1) * packed.nbytes <= MAX_ARRAY_BYTES:
                 self._row_cache[key] = packed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,8 @@ class SamplingGrid:
         return cls(image_width, image_height, ys)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, SamplingGrid):
             return NotImplemented
         return (
@@ -97,6 +100,30 @@ class SamplingGrid:
 
     def __hash__(self):
         return hash((self.image_width, self.image_height, self.y_coords.tobytes()))
+
+    @cached_property
+    def row_plan(self):
+        """The per-row recipe SpanStack.of follows, worked out once per grid object.
+
+        (first, lower, upper, dy, dr, covered) describe the image rows from
+        block first, the first block holding a row the ladder spans, to the
+        last block. A row's x is (x[upper] - x[lower]) / dy * dr + x[lower],
+        np.interp's arithmetic on the samples y[lower] <= row < y[upper]; on
+        a row at a sample's height, or one the ladder does not span, upper ==
+        lower, dy == 1 and dr == 0. covered[t] marks the rows a lane with
+        top_index t covers: those the ladder spans with lower < t.
+        """
+        y, block = self.y_coords, ENVELOPE_BLOCK_ROWS
+        first = int(np.ceil(y[-1])) // block
+        rows = np.arange(first * block, -(-self.image_height // block) * block, dtype=np.float64)
+        spanned = (y[-1] <= rows) & (rows <= y[0])
+        lower = np.where(spanned, np.searchsorted(-y, -rows, side="left"), 0)
+        between = spanned & (rows != y[lower])  # lower >= 1 here, because rows <= y[0]
+        upper = np.where(between, lower - 1, lower)
+        dy = np.where(between, y[upper] - y[lower], 1.0)
+        dr = np.where(between, rows - y[lower], 0.0)
+        covered = spanned & (lower < np.arange(self.n_samples + 1)[:, None])
+        return first, lower, upper, dy, dr, covered
 
 
 def lane_arrays(xs, top_index, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -236,46 +263,42 @@ class SpanStack:
         """
         check_positive_int(width, "stripe width")
         xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
-        k, height = xs.shape[0], grid.image_height
+        k, height, image_width = xs.shape[0], grid.image_height, grid.image_width
         blocks = -(-height // ENVELOPE_BLOCK_ROWS)
         shape = (k, blocks, 2, ENVELOPE_BLOCK_ROWS)
         check_budget(shape, 4, "stripe spans (lanes x blocks x start/end x block rows)")
         spans = np.zeros(shape, dtype=np.int32)
         area = np.empty(k, dtype=np.int64)
-        lo = np.empty((k, blocks), dtype=np.int32)
-        hi = np.empty_like(lo)
-        y = grid.y_coords
-        band = slice(int(np.ceil(y[-1])), int(np.floor(y[0])) + 1)  # the rows the ladder spans
-        rows = np.arange(band.start, band.stop, dtype=np.float64)
-        # y[seg] <= row < y[seg - 1]; rows in the band keep seg < N
-        seg = np.searchsorted(-y, -rows, side="left")
-        between = rows != y[seg]  # seg >= 1 here, because rows <= y[0]
-        i = seg[between]
+        first, lower, upper, dy, dr, covered = grid.row_plan
+        lo = np.full((k, blocks), np.iinfo(np.int32).max, dtype=np.int32)
+        hi = np.zeros_like(lo)  # blocks before first hold no covered row
         step = max(1, SPAN_CHUNK_CELLS // height)
         for c in range(0, k, step):
             lanes = slice(c, c + step)
             chunk = xs[lanes]
-            x = chunk[:, seg]
-            lower = chunk[:, i]
-            slope = chunk[:, i - 1] - lower
-            slope /= y[i - 1] - y[i]
-            slope *= rows[between] - y[i]
-            slope += lower
-            x[:, between] = slope
+            base = chunk[:, lower]
+            x = chunk[:, upper]
+            # np.interp's arithmetic, which also overflows to +-inf silently on
+            # finite samples more than float64's maximum apart; the clip maps inf
+            with np.errstate(over="ignore"):
+                x -= base
+                x /= dy
+                x *= dr
+                x += base
             # a window a width off the image is empty either way; clipped, every finite x casts
-            np.clip(x, -width, grid.image_width + width, out=x)
+            np.clip(x, -width, image_width + width, out=x)
             s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
-            window = np.zeros((2, len(chunk), blocks, ENVELOPE_BLOCK_ROWS), dtype=np.int32)
-            banded = window.reshape(2, len(chunk), -1)[:, :, band]
-            np.clip(s, 0, grid.image_width, out=banded[0])
-            np.clip(s + width, 0, grid.image_width, out=banded[1])
-            # zero the empty windows and the rows the lane does not cover (seg >= top_index)
-            banded[:, (banded[0] >= banded[1]) | (seg >= top_index[lanes, None])] = 0
-            start, end = window
+            s = s.reshape(len(chunk), -1, ENVELOPE_BLOCK_ROWS)  # rows into blocks from first on
+            # keep the covered rows' windows but those clipped away on the right; the ones
+            # clipped away on the left (s + width <= 0) clip to 0 and 0 anyway
+            keep = covered[top_index[lanes]].reshape(s.shape) & (s < image_width)
+            start, end = spans[lanes, first:, 0], spans[lanes, first:, 1]
+            np.multiply(np.clip(s, 0, image_width), keep, out=start)
+            s += width
+            np.multiply(np.clip(s, 0, image_width), keep, out=end)
             area[lanes] = (end - start).sum(axis=(1, 2))
-            lo[lanes] = np.where(end > start, start, np.iinfo(np.int32).max).min(axis=2)
-            hi[lanes] = end.max(axis=2)  # every uncovered row is zero
-            spans[lanes] = window.transpose(1, 2, 0, 3)
+            lo[lanes, first:] = np.where(end > start, start, np.iinfo(np.int32).max).min(axis=2)
+            hi[lanes, first:] = end.max(axis=2)  # every uncovered row is zero
         for array in (spans, area, lo, hi):  # read-only: CandidateSet caches stacks for its lifetime
             array.setflags(write=False)
         return cls(spans, area, lo, hi)
@@ -285,6 +308,19 @@ class SpanStack:
 
     def __getitem__(self, rows) -> "SpanStack":
         return SpanStack(self.spans[rows], self.area[rows], self.lo[rows], self.hi[rows])
+
+    def overlap_bound(self, q: int, width: int) -> np.ndarray:
+        """(K,) int64 upper bound on the pixels each lane shares with lane q of this stack.
+
+        On each of a block's ENVELOPE_BLOCK_ROWS rows, two windows of width
+        pixels share at most width pixels and at most the overlap of their
+        envelopes, and no lane shares more than its own area.
+        """
+        overlap = np.minimum(self.hi, self.hi[q]) - np.maximum(self.lo, self.lo[q])
+        # every overlap is at most the image width, which fits int32 as MAX_IMAGE_SIDE
+        np.clip(overlap, 0, min(width, MAX_IMAGE_SIDE), out=overlap)
+        bound = ENVELOPE_BLOCK_ROWS * overlap.sum(axis=1)
+        return np.minimum(np.minimum(bound, self.area, out=bound), self.area[q], out=bound)
 
     def ious(self, queries: "SpanStack") -> np.ndarray:
         """Stripe IoU of every (query, lane) pair, shape (len(queries), len(self)).

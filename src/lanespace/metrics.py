@@ -124,7 +124,8 @@ def match_lanes(
     ious = stripe_ious(predictions, ground_truth, width)
     n_pred, n_gt = ious.shape
     above = ious > iou_threshold
-    pairs = [(i, j, float(ious[i, j])) for i, j in _greedy_pairs(ious, above)]
+    cells = ious.tolist()
+    pairs = [(i, j, cells[i][j]) for i, j in _greedy_pairs(ious, above)]
     tp = len(pairs)
     optimal = _max_bipartite_matching(above)
     return ImageMatch(
@@ -133,8 +134,8 @@ def match_lanes(
         fp=n_pred - tp,
         fn=n_gt - tp,
         pairs=tuple(pairs),
-        pred_best_iou=tuple(float(ious[i].max()) if n_gt else 0.0 for i in range(n_pred)),
-        gt_best_iou=tuple(float(ious[:, j].max()) if n_pred else 0.0 for j in range(n_gt)),
+        pred_best_iou=tuple(ious.max(axis=1).tolist()) if n_gt else (0.0,) * n_pred,
+        gt_best_iou=tuple(ious.max(axis=0).tolist()) if n_pred else (0.0,) * n_gt,
         greedy_equals_optimal=tp == optimal,
     )
 

@@ -109,17 +109,17 @@ def nms_select(
     _check_nms_settings(t, iou_threshold, width, min_probability)
     if scores.k != candidates.k:
         raise DimensionMismatch("scores and candidates disagree on K")
-    alive = np.ones(candidates.k, dtype=bool)
-    probs = scores.probabilities
+    # the probabilities of the candidates still alive; -inf marks picked and
+    # suppressed ones, and lies below every min_probability
+    masked = scores.probabilities.copy()
     picks: list[int] = []
-    while len(picks) < t and alive.any():
-        masked = np.where(alive, probs, -np.inf)
+    while len(picks) < t:
         best = int(np.argmax(masked))
-        if probs[best] < min_probability:
+        if masked[best] < min_probability:
             break
         picks.append(best)
-        alive[best] = False
-        alive &= ~candidates.suppressed(best, width, iou_threshold)
+        masked[best] = -np.inf
+        masked[candidates.suppressed(best, width, iou_threshold)] = -np.inf
     return picks
 
 

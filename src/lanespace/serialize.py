@@ -1,9 +1,9 @@
 """JSON (de)serialization for bases, candidate sets, scores and reports.
 
 Every file is a JSON object with a schema_version and a kind tag; numeric
-arrays are stored as row-major flat lists next to their explicit dims. The
-standard json encoder emits shortest round-trippable decimals, so float64
-content survives a round trip bit for bit.
+arrays are stored as row-major flat lists next to their explicit dims. Every
+line is json.dumps's text, whose shortest round-trippable decimals keep
+float64 content bit for bit through a round trip.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _check_header(obj: dict, kind: str):
 
 def _encode_array(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
-    return {"dims": list(arr.shape), "data": arr.ravel().tolist()}
+    return {"dims": list(arr.shape), "data": arr}  # _json writes the array as its flat list
 
 
 def _int(value, what: str) -> int:
@@ -90,11 +90,44 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
     )
 
 
+def _json(value, rows: dict) -> str:
+    """json.dumps(value)'s text, where a float64 array stands for its row-major flat list.
+
+    The array is written row by row (a 0-d or 1-D array is one row), and rows
+    maps a row's bytes to its text, so a row that repeats is encoded once.
+    Dict keys must be strings.
+    """
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return "[]"
+        flat = value.reshape(-1, value.shape[-1] if value.ndim else 1)
+        keys = [row.tobytes() for row in flat]
+        new = {key: i for i, key in enumerate(keys) if key not in rows}
+        if len(new) == len(keys):  # no row repeats or was seen: nothing to share
+            return json.dumps(flat.ravel().tolist())
+        if new:  # one dumps for every new row: "[[a, b], [c, d]]" splits at "], ["
+            texts = json.dumps(flat[list(new.values())].tolist())[2:-2].split("], [")
+            rows.update(zip(new, texts))
+        return "[" + ", ".join(map(rows.__getitem__, keys)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json(item, rows)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, (list, tuple)) and any(
+        isinstance(item, (dict, list, tuple, np.ndarray)) for item in value
+    ):
+        return "[" + ", ".join(_json(item, rows) for item in value) + "]"
+    return json.dumps(value)
+
+
 def _write_lines(kind: str, records, path):
-    """Write each record as one line of JSON: the versioned header of kind, then its fields."""
+    """Write each record as one line of JSON: the versioned header of kind, then its fields.
+
+    Repeated rows are shared within a line only, so memory stays one line's text.
+    """
     with open_for_writing(path) as fh:
         for fields in records:
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}) + "\n")
+            line = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+            fh.write(_json(line, {}) + "\n")
 
 
 def save_json(kind: str, fields: dict, path):
@@ -219,7 +252,7 @@ def save_detections(entries, path):
             {
                 "image_id": image_id,
                 "lanes": [
-                    {"xs": lane.xs.tolist(), "top_index": lane.top_index} for lane in lanes
+                    {"xs": lane.xs, "top_index": lane.top_index} for lane in lanes
                 ],
                 "compatibility": float(compatibility),
             }

@@ -36,7 +36,7 @@ from lanespace import (
     uniform_height_grid,
 )
 from lanespace.candidates import MAX_ITERS, TOLERANCE, _assign, _kmeans_plus_plus
-from lanespace.geometry import SpanStack, stack_lanes
+from lanespace.geometry import ENVELOPE_BLOCK_ROWS, SpanStack, stack_lanes
 
 
 def full_kernel(span, many):
@@ -447,6 +447,26 @@ class TestSpanStackIous:
                 assert row.dtype == bool
                 assert np.array_equal(row, expected)
                 row[:] = ~row  # the caller's copy, not the memoized row
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_bounded_rows_equal_the_thresholded_kernel_row(self, ladder):
+        grid = LADDERS[ladder]
+        xs, top = random_stack(np.random.default_rng(6), grid, 64)
+        cands = CandidateSet(xs, top, grid, np.zeros((64, 2)), "seeded")
+        for width in (1, 10, 30):
+            spans = cands.spans(width)
+            starts, ends = row_spans(xs, top, grid, width)
+            for i in range(64):
+                shared = np.minimum(ends, ends[i]) - np.maximum(starts, starts[i])
+                shared = np.clip(shared, 0, None).sum(axis=1)
+                meets = np.maximum(spans.lo, spans.lo[i]) < np.minimum(spans.hi, spans.hi[i])
+                bound = spans.overlap_bound(i, width)
+                assert np.all(shared <= bound)
+                # at most width shared pixels on each row of a block where the envelopes meet
+                assert np.all(bound <= ENVELOPE_BLOCK_ROWS * width * meets.sum(axis=1))
+                row = spans.ious(spans[i : i + 1])[0]
+                for threshold in (1e-9, 0.3, 0.5, 1.0):
+                    assert np.array_equal(cands.suppressed(i, width, threshold), row > threshold)
 
     def test_memo_over_the_budget_keeps_nms_picks(self, candidates, monkeypatch):
         k = candidates.k

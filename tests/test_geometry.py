@@ -21,7 +21,13 @@ from lanespace import (
     stripe_ious,
     uniform_height_grid,
 )
-from lanespace.geometry import DEFAULT_STRIPE_WIDTH, MAX_ARRAY_BYTES, check_budget, stack_lanes
+from lanespace.geometry import (
+    DEFAULT_STRIPE_WIDTH,
+    MAX_ARRAY_BYTES,
+    SpanStack,
+    check_budget,
+    stack_lanes,
+)
 
 
 def interp_oracle(points, y):
@@ -106,6 +112,20 @@ class TestSamplingGrid:
         assert grid == other
         assert grid != SamplingGrid.uniform(1280, 720, 49)
         assert grid != SamplingGrid.uniform(1281, 720, 50)
+
+    def test_equal_grids_give_byte_equal_stacks(self, grid):
+        twin = SamplingGrid.uniform(1280, 720, 50)
+        assert twin is not grid and twin == grid
+        rng = np.random.default_rng(2)
+        xs = rng.uniform(-100.0, 1380.0, size=(30, 1)) + np.cumsum(
+            rng.normal(0.0, 20.0, size=(30, 50)), axis=1)
+        top = rng.integers(0, 51, size=30)
+        # lanes sampled on one grid, stacked and spanned on its twin
+        stacked = stack_lanes([Lane(x, t, grid) for x, t in zip(xs, top)], twin)
+        ours, theirs = SpanStack.of(*stacked, twin, 30), SpanStack.of(xs, top, grid, 30)
+        for name in ("spans", "area", "lo", "hi"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_rejects_increasing_y(self):
         with pytest.raises(ValueError):
@@ -251,6 +271,14 @@ class TestStripeIou:
         for x in (1e20, -1e20):
             assert stripe_iou(make_vertical(x), near, 30) == 0.0
             assert stripe_iou(make_vertical(x), make_vertical(x), 30) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_lane_alternating_past_float64_range_scores_zero_without_warnings(self, grid, make_vertical):
+        # between samples 2e308 apart x overflows to +-inf, as np.interp's does, silently
+        xs = np.where(np.arange(grid.n_samples) % 2, -1e308, 1e308)
+        wild = Lane(xs, grid.n_samples, grid)
+        assert stripe_iou(wild, make_vertical(100.0), 30) == 0.0
+        assert not SpanStack.of(xs[None], [grid.n_samples], grid, 30).area.any()
 
     def test_empty_union_returns_zero(self, make_vertical):
         a = make_vertical(100.0, top_index=0)

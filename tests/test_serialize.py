@@ -1,12 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import candidate_lanes
-from lanespace import CandidateScores, SchemaError, VersionError
+from lanespace import (
+    CandidateScores,
+    SchemaError,
+    VersionError,
+    f_measure,
+    match_lanes,
+    oracle_scores,
+    serialize,
+    tusimple_score,
+    uniform_height_grid,
+)
 from lanespace.eigenspace import low_rank_residual
 from lanespace.serialize import (
+    _encode_array,
+    _json,
     load_basis,
     load_candidates,
     load_detections,
@@ -15,7 +28,36 @@ from lanespace.serialize import (
     save_candidates,
     save_detections,
     save_image_scores,
+    save_json,
 )
+
+
+def listed(value):
+    """value with every array replaced by its row-major flat list, as json.dumps needs it."""
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [listed(item) for item in value]
+    return value
+
+
+_rng = np.random.default_rng(4)
+WRITER_ARRAYS = {
+    "signed-zero-rows": np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [-0.0, -0.0]]),
+    "extremes": np.array([[5e-324, -5e-324, 1e300], [-1e300, 0.1, 1 / 3], [5e-324, -5e-324, 1e300]]),
+    "one-hot-rows": np.eye(25)[_rng.integers(0, 25, size=300)],
+    "mostly-zero-rows": np.where(_rng.uniform(size=(200, 1)) < 0.1, _rng.normal(size=(200, 6)), 0.0),
+    "1-d": _rng.normal(size=40),
+    "1-d-repeats": np.array([1.5, 1.5, -0.0, 1.5]),
+    "0-d": np.array(-2.5e-7),
+    "k-by-0": np.zeros((4, 0)),
+    "0-by-n": np.zeros((0, 6)),
+    "3-d": np.stack([_rng.normal(size=(2, 4))] * 3),
+    "integers": np.arange(12).reshape(3, 4),
+    "transposed": _rng.normal(size=(5, 3)).T,
+}
 
 
 class TestBasisRoundTrip:
@@ -133,3 +175,62 @@ class TestDetectionsRoundTrip:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(SchemaError):
             load_detections(path, grid)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name", list(WRITER_ARRAYS))
+    def test_array_is_json_dumps_of_its_list(self, name):
+        arr = WRITER_ARRAYS[name]
+        field = _encode_array(arr)
+        expected = json.dumps({"dims": list(arr.shape), "data": listed(field["data"])})
+        assert _json(field, {}) == expected
+
+    def test_rows_repeated_across_arrays_share_one_text(self):
+        one_hot = WRITER_ARRAYS["one-hot-rows"]
+        signed = WRITER_ARRAYS["signed-zero-rows"]
+        fields = {"a": _encode_array(one_hot), "b": [_encode_array(one_hot[::-1]), signed],
+                  "c": {"d": _encode_array(signed[:, :1]), "e": (1, -0.0, "x")}}
+        rows = {}
+        assert _json(fields, rows) == json.dumps(listed(fields))
+        # one text per distinct row: the one-hot rows, four signed-zero pairs, [0.0] and [-0.0]
+        assert len(rows) == len({row.tobytes() for row in one_hot}) + 4 + 2
+
+    def test_every_artifact_kind_is_json_dumps_of_its_list_form(
+        self, basis, candidates, train_lanes, tmp_path, monkeypatch
+    ):
+        lanes = candidate_lanes(candidates)
+        heights = uniform_height_grid(basis.grid)
+        scores, features = oracle_scores(candidates, train_lanes[:4], basis, heights)
+        offsets = scores.offsets.copy()
+        offsets[::3] = -0.0
+        signed = CandidateScores(scores.probabilities, scores.height_distributions, offsets)
+        matches = [match_lanes(lanes[:3], train_lanes[:4]), match_lanes([], train_lanes[:1])]
+        writers = {
+            "eigen_basis": lambda path: save_basis(basis, path),
+            "candidate_set": lambda path: save_candidates(candidates, path),
+            "image_scores": lambda path: save_image_scores(
+                [("a", scores, features, heights), ("b", signed, -features, heights)], path
+            ),
+            "detections": lambda path: save_detections(
+                [("a", lanes[:3], 1.25), ("b", [], 0.0)], path
+            ),
+            "match_report": lambda path: save_json(
+                "match_report", dataclasses.asdict(f_measure(matches)), path
+            ),
+            "point_accuracy_report": lambda path: save_json(
+                "point_accuracy_report",
+                dataclasses.asdict(tusimple_score([lanes[:3]], [train_lanes[:4]])),
+                path,
+            ),
+            "approx_report": lambda path: save_json(
+                "approx_report", {"lanes": 4, "rows": [{"rank": 1, "residual_energy": 0.5}]}, path
+            ),
+        }
+        for kind, write in writers.items():
+            write(tmp_path / f"{kind}.rows")
+        monkeypatch.setattr(serialize, "_json", lambda value, rows: json.dumps(listed(value)))
+        for kind, write in writers.items():
+            write(tmp_path / f"{kind}.dumps")
+            written = (tmp_path / f"{kind}.rows").read_bytes()
+            assert written == (tmp_path / f"{kind}.dumps").read_bytes(), kind
+            assert json.loads(written.splitlines()[0])["kind"] == kind
