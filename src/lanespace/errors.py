@@ -124,8 +124,8 @@ def json_floats(values, what: str) -> np.ndarray:
     """
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise SchemaError(f"{what} must be a flat list of numbers")
-    try:
-        arr = np.asarray(values, dtype=np.float64)
+    try:  # one pass that rounds each value as float() does, with no search for nested lists
+        arr = np.fromiter(values, np.float64, count=len(values))
     except OverflowError as exc:  # a JSON integer beyond float64
         raise SchemaError(f"{what} holds a number out of range") from exc
     if not np.isfinite(arr).all():

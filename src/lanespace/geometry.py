@@ -309,18 +309,19 @@ class SpanStack:
     def __getitem__(self, rows) -> "SpanStack":
         return SpanStack(self.spans[rows], self.area[rows], self.lo[rows], self.hi[rows])
 
-    def overlap_bound(self, q: int, width: int) -> np.ndarray:
-        """(K,) int64 upper bound on the pixels each lane shares with lane q of this stack.
+    def overlap_bound(self, query: "SpanStack", width: int) -> np.ndarray:
+        """(K,) int64 upper bound on the pixels each lane shares with the one lane of query.
 
         On each of a block's ENVELOPE_BLOCK_ROWS rows, two windows of width
         pixels share at most width pixels and at most the overlap of their
-        envelopes, and no lane shares more than its own area.
+        envelopes, and no lane shares more than its own area. query is a
+        one-lane stack spanned at the same width, from this stack or another.
         """
-        overlap = np.minimum(self.hi, self.hi[q]) - np.maximum(self.lo, self.lo[q])
+        overlap = np.minimum(self.hi, query.hi) - np.maximum(self.lo, query.lo)
         # every overlap is at most the image width, which fits int32 as MAX_IMAGE_SIDE
         np.clip(overlap, 0, min(width, MAX_IMAGE_SIDE), out=overlap)
         bound = ENVELOPE_BLOCK_ROWS * overlap.sum(axis=1)
-        return np.minimum(np.minimum(bound, self.area, out=bound), self.area[q], out=bound)
+        return np.minimum(np.minimum(bound, self.area, out=bound), query.area, out=bound)
 
     def ious(self, queries: "SpanStack") -> np.ndarray:
         """Stripe IoU of every (query, lane) pair, shape (len(queries), len(self)).

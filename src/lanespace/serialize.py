@@ -1,13 +1,16 @@
 """JSON (de)serialization for bases, candidate sets, scores and reports.
 
 Every file is a JSON object with a schema_version and a kind tag; numeric
-arrays are stored as row-major flat lists next to their explicit dims. Every
-line is json.dumps's text, whose shortest round-trippable decimals keep
-float64 content bit for bit through a round trip.
+arrays are stored row-major next to their explicit dims, as a flat list
+under "data" or, in candidate sets (schema_version 2), as the base64 text of
+their little-endian float64 bytes under "float64". Every line is
+json.dumps's text, whose shortest round-trippable decimals keep float64
+content bit for bit through a round trip, as the packed bytes do.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -36,10 +39,11 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _check_header(obj: dict, kind: str):
+def _check_header(obj: dict, kind: str, versions=(SCHEMA_VERSION,)):
     version = _require(obj, "schema_version")
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"schema_version {version} unsupported (want {SCHEMA_VERSION})")
+    if version not in versions:
+        raise VersionError(f"schema_version {version} unsupported "
+                           f"(want {' or '.join(map(str, versions))})")
     actual = _require(obj, "kind")
     if actual != kind:
         raise SchemaError(f"expected kind '{kind}', found '{actual}'")
@@ -50,21 +54,47 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"dims": list(arr.shape), "data": arr}  # _json writes the array as its flat list
 
 
+def _pack_array(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"dims": list(arr.shape), "float64": base64.b64encode(arr).decode("ascii")}
+
+
 def _int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, found {value!r}")
     return value
 
 
+def _unpack(payload, dims: list) -> np.ndarray:
+    """The flat float64 values of shape dims whose little-endian bytes payload holds as base64."""
+    if not isinstance(payload, str):
+        raise SchemaError(f"array float64 must be a base64 string, found {type(payload).__name__}")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise SchemaError("array float64 is not valid base64") from exc
+    if len(raw) != 8 * math.prod(dims):
+        raise SchemaError(f"array claims shape {dims} but float64 carries {len(raw)} bytes")
+    data = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+    if not np.isfinite(data).all():
+        raise SchemaError("array float64 must hold finite numbers")
+    return data
+
+
 def _decode_array(obj, expected_ndim: int | None = None) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise SchemaError("array field must be an object with dims and data")
+        raise SchemaError("array field must be an object with dims and data or float64")
     dims = _require(obj, "dims")
     if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
         raise SchemaError(f"array dims must be non-negative integers, found {dims}")
-    data = json_floats(_require(obj, "data"), "array data")
-    if data.size != math.prod(dims):
-        raise SchemaError(f"array claims shape {dims} but carries {data.size} values")
+    if ("data" in obj) == ("float64" in obj):
+        raise SchemaError("array field must hold exactly one of data and float64")
+    if "float64" in obj:
+        data = _unpack(obj["float64"], dims)
+    else:
+        data = json_floats(obj["data"], "array data")
+        if data.size != math.prod(dims):
+            raise SchemaError(f"array claims shape {dims} but carries {data.size} values")
     if expected_ndim is not None and len(dims) != expected_ndim:
         raise SchemaError(f"array must have {expected_ndim} dims, found {len(dims)}")
     return data.reshape(dims)
@@ -119,14 +149,14 @@ def _json(value, rows: dict) -> str:
     return json.dumps(value)
 
 
-def _write_lines(kind: str, records, path):
+def _write_lines(kind: str, records, path, version: int = SCHEMA_VERSION):
     """Write each record as one line of JSON: the versioned header of kind, then its fields.
 
     Repeated rows are shared within a line only, so memory stays one line's text.
     """
     with open_for_writing(path) as fh:
         for fields in records:
-            line = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+            line = {"schema_version": version, "kind": kind, **fields}
             fh.write(_json(line, {}) + "\n")
 
 
@@ -135,9 +165,9 @@ def save_json(kind: str, fields: dict, path):
     _write_lines(kind, [fields], path)
 
 
-def _parse(text: str, path, kind: str) -> dict:
+def _parse(text: str, path, kind: str, versions=(SCHEMA_VERSION,)) -> dict:
     obj = parse_json(text, str(path))
-    _check_header(obj, kind)
+    _check_header(obj, kind, versions)
     return obj
 
 
@@ -174,22 +204,21 @@ def load_basis(path) -> EigenBasis:
 
 
 def save_candidates(candidates: CandidateSet, path):
-    save_json(
-        "candidate_set",
-        {
-            "grid": _grid_to_obj(candidates.grid),
-            "basis_id": candidates.basis_id,
-            "k": candidates.k,
-            "coefficients": _encode_array(candidates.coefficients),
-            "lanes": _encode_array(candidates.xs),
-            "top_indices": candidates.top_index.tolist(),
-        },
-        path,
-    )
+    """Write the set at schema_version 2: its coefficients and lanes packed as float64."""
+    fields = {
+        "grid": _grid_to_obj(candidates.grid),
+        "basis_id": candidates.basis_id,
+        "k": candidates.k,
+        "coefficients": _pack_array(candidates.coefficients),
+        "lanes": _pack_array(candidates.xs),
+        "top_indices": candidates.top_index.tolist(),
+    }
+    _write_lines("candidate_set", [fields], path, version=2)
 
 
 def load_candidates(path) -> CandidateSet:
-    obj = _read_json(path, "candidate_set")
+    """Read a candidate set at schema_version 2, or 1, whose arrays are lists."""
+    obj = _parse(read_text(path), path, "candidate_set", versions=(1, 2))
     grid = _grid_from_obj(_require(obj, "grid"))
     coeffs = _decode_array(_require(obj, "coefficients"), expected_ndim=2)
     xs = _decode_array(_require(obj, "lanes"), expected_ndim=2)

@@ -38,7 +38,7 @@ from lanespace import (
     tusimple_score,
     uniform_height_grid,
 )
-from lanespace.geometry import stack_lanes
+from lanespace.geometry import stack_lanes, stripe_ious
 from test_pipeline import brute_force_mwcs, greedy_nms_oracle, scores_for
 
 N_SAMPLES = 50
@@ -204,7 +204,9 @@ def test_criterion_6_nms_contract(basis, grid):
             cands, scores_for(cands, probs), t=10, iou_threshold=threshold, width=STRIPE
         )
         assert len(picks) <= 10
-        iou = [[stripe_iou(a, b, STRIPE) for b in lanes] for a in lanes]
+        # the table is stripe_iou of every pair, bit for bit: the same kernel and area sums
+        iou = stripe_ious(lanes, lanes, STRIPE).tolist()
+        assert stripe_iou(lanes[0], lanes[-1], STRIPE) == iou[0][-1]
         assert picks == greedy_nms_oracle(iou, probs, 10, threshold)
         for a, b in itertools.combinations(picks, 2):
             assert iou[a][b] <= threshold

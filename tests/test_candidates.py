@@ -460,7 +460,7 @@ class TestSpanStackIous:
                 shared = np.minimum(ends, ends[i]) - np.maximum(starts, starts[i])
                 shared = np.clip(shared, 0, None).sum(axis=1)
                 meets = np.maximum(spans.lo, spans.lo[i]) < np.minimum(spans.hi, spans.hi[i])
-                bound = spans.overlap_bound(i, width)
+                bound = spans.overlap_bound(spans[i : i + 1], width)
                 assert np.all(shared <= bound)
                 # at most width shared pixels on each row of a block where the envelopes meet
                 assert np.all(bound <= ENVELOPE_BLOCK_ROWS * width * meets.sum(axis=1))
@@ -648,3 +648,35 @@ class TestMeanBestIou:
             candidates.basis_id,
         )
         assert mean_best_iou(candidates, test, 30) >= mean_best_iou(fewer, test, 30)
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_bound_order_keeps_the_full_kernel_maximum(self, ladder):
+        grid = LADDERS[ladder]
+        rng = np.random.default_rng(12)
+        xs, top = random_stack(rng, grid, 200)
+        cands = CandidateSet(xs, top, grid, np.zeros((200, 2)), "seeded")
+        test_xs, test_top = random_stack(rng, grid, 40)
+        test_top[:2] = [0, 1]
+        test = [Lane(x, t, grid) for x, t in zip(test_xs, test_top)]
+        for width in (1, 10, 30):
+            table = full_table(row_spans(test_xs, test_top, grid, width),
+                               row_spans(xs, top, grid, width))
+            assert mean_best_iou(cands, test, width) == float(table.max(axis=1).mean())
+
+    def test_bound_order_keeps_the_maximum_over_10000_anchors(self, basis, train_lanes):
+        anchors = straight_anchor_grid(basis, 10_000)
+        test = train_lanes[:60]
+        tests = SpanStack.of(*stack_lanes(test, basis.grid), basis.grid, 30)
+        best = anchors.spans(30).ious(tests).max(axis=1)
+        assert mean_best_iou(anchors, test, 30) == float(best.mean())
+
+    def test_lanes_no_candidate_envelope_meets_reach_no_kernel(
+        self, basis, make_vertical, monkeypatch
+    ):
+        anchors = straight_anchor_grid(basis, 1)  # one central anchor
+        queries = []
+        kernel = SpanStack.ious
+        monkeypatch.setattr(SpanStack, "ious", lambda self, q: queries.append(q) or kernel(self, q))
+        # a zero cap leaves no room above the best IoU of 0.0
+        assert mean_best_iou(anchors, [make_vertical(2.0), make_vertical(-4000.0)], 30) == 0.0
+        assert not queries

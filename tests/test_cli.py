@@ -1,3 +1,4 @@
+import base64
 import functools
 import json
 import operator
@@ -117,7 +118,22 @@ class TestChain:
                  **{kind: root / f"{kind}.json" for kind in reports}}
         for kind, path in files.items():
             obj = json.loads(path.read_text())
-            assert list(obj.items())[:2] == [("schema_version", SCHEMA_VERSION), ("kind", kind)]
+            version = 2 if kind == "candidate_set" else SCHEMA_VERSION  # packed arrays
+            assert list(obj.items())[:2] == [("schema_version", version), ("kind", kind)]
+
+    def test_list_form_candidates_give_the_same_chain_bytes(self, runner, workspace, tmp_path):
+        listed = _edited(workspace["cands"], tmp_path, _to_list_form)
+        outputs = {}
+        for name, cands in (("packed", workspace["cands"]), ("listed", listed)):
+            common = ["-c", str(cands), "-b", str(workspace["basis"])]
+            scores, det, report = (tmp_path / f"{name}.{ext}" for ext in ("sc", "det", "rep"))
+            run_ok(runner, ["score-oracle", *common, "-d", str(workspace["test"]),
+                            "--noise-sigma", "0.1", "-o", str(scores)])
+            run_ok(runner, ["detect", *common, "-s", str(scores), "-o", str(det)])
+            run_ok(runner, ["eval", "-p", str(det), "-d", str(workspace["test"]),
+                            "-b", str(workspace["basis"]), "-o", str(report)])
+            outputs[name] = [path.read_bytes() for path in (scores, det, report)]
+        assert outputs["packed"] == outputs["listed"]
 
     def test_straight_anchors_and_approx(self, runner, workspace):
         anchors = workspace["root"] / "anchors.json"
@@ -260,6 +276,34 @@ def _eval(ws, tmp, edit):
 
 def _set_item(key, index, value):
     return lambda obj: obj[key]["data"].__setitem__(index, value)
+
+
+def _values(field) -> np.ndarray:
+    """The values of a packed array field, decoded here rather than by the library."""
+    return np.frombuffer(base64.b64decode(field["float64"]), dtype="<f8")
+
+
+def _to_list_form(obj: dict):
+    """Rewrite a packed candidate set as schema_version 1 wrote it: each array a flat list."""
+    for key in ("coefficients", "lanes"):
+        obj[key] = {"dims": obj[key]["dims"], "data": _values(obj[key]).tolist()}
+    obj["schema_version"] = 1
+
+
+def _set_listed(key, index, value):
+    """An edit of the candidate set's list form: item index of the array under key set to value."""
+    def edit(obj):
+        _to_list_form(obj)
+        _set_item(key, index, value)(obj)
+    return edit
+
+
+def _set_packed(key, edit_values):
+    """An edit that packs edit_values(values) of the array under key back into its field."""
+    def edit(obj):
+        values = edit_values(_values(obj[key]).copy())
+        obj[key]["float64"] = base64.b64encode(values.astype("<f8")).decode("ascii")
+    return edit
 
 
 def _set_top(value):
@@ -439,7 +483,23 @@ BAD_INPUTS = {
         lambda ws, tmp: _eval(ws, tmp, lambda obj: obj["lanes"][0]["xs"].__setitem__(0, True)),
         2),
     "candidates-data-bool": (
-        lambda ws, tmp: _eval_candidates(ws, tmp, _set_item("lanes", 0, True)), 2),
+        lambda ws, tmp: _eval_candidates(ws, tmp, _set_listed("lanes", 0, True)), 2),
+    "candidates-float64-int": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj["lanes"].update(float64=5)), 2),
+    # a lenient decoder would drop the "$" and read the lanes
+    "candidates-float64-not-base64": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["lanes"].update(float64="$" + obj["lanes"]["float64"])), 2),
+    "candidates-float64-one-value-short": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, _set_packed("lanes", lambda xs: xs[:-1])), 2),
+    "candidates-float64-nan": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, _set_packed("coefficients", lambda c: np.append(c[:-1], np.nan))), 2),
+    "candidates-data-and-float64": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj["lanes"].update(data=_values(obj["lanes"]).tolist())), 2),
+    "candidates-neither-data-nor-float64": (
+        lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj["lanes"].pop("float64")), 2),
     "candidates-k-5000-digits": (
         lambda ws, tmp: _eval_candidates(ws, tmp, lambda obj: obj.update(k=LONG_INT)), 2),
     "dataset-5000-digits": (

@@ -7,19 +7,28 @@ import pytest
 from conftest import candidate_lanes
 from lanespace import (
     CandidateScores,
+    CandidateSet,
+    ClusteringConfig,
     SchemaError,
+    SyntheticSpec,
     VersionError,
+    cluster_lanes,
     f_measure,
+    generate_synthetic,
     match_lanes,
     oracle_scores,
     serialize,
+    straight_anchor_grid,
     tusimple_score,
     uniform_height_grid,
 )
 from lanespace.eigenspace import low_rank_residual
+from lanespace.errors import json_floats
 from lanespace.serialize import (
     _encode_array,
+    _grid_to_obj,
     _json,
+    _write_lines,
     load_basis,
     load_candidates,
     load_detections,
@@ -108,16 +117,84 @@ class TestBasisRoundTrip:
             load_basis(path)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and float64 bit patterns, so -0.0 differs from 0.0."""
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def save_version_1(candidates: CandidateSet, path):
+    """The candidate set as schema_version 1 wrote it, every array a flat list."""
+    fields = {
+        "grid": _grid_to_obj(candidates.grid),
+        "basis_id": candidates.basis_id,
+        "k": candidates.k,
+        "coefficients": _encode_array(candidates.coefficients),
+        "lanes": _encode_array(candidates.xs),
+        "top_indices": candidates.top_index.tolist(),
+    }
+    _write_lines("candidate_set", [fields], path)
+
+
+@pytest.fixture(scope="module")
+def candidate_sets(basis, candidates):
+    """Clustered sets at K=40 and K=1000, an extreme-valued set and 10,000 straight anchors."""
+    grid = basis.grid
+    extremes = np.array([-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.0, 1 / 3])
+    xs = np.resize(extremes, (9, grid.n_samples))
+    lanes = [lane for record in generate_synthetic(SyntheticSpec(count=420, seed=8))
+             for lane in record.resampled(grid)]
+    return {
+        "clustered-k40": candidates,
+        "extremes": CandidateSet(xs, np.arange(9), grid, np.resize(extremes[::-1], (9, 4)), "x"),
+        "clustered-k1000": cluster_lanes(basis, lanes, ClusteringConfig(k=1000, seed=2)),
+        "anchors-k10000": straight_anchor_grid(basis, 10_000),
+    }
+
+
 class TestCandidatesRoundTrip:
-    def test_round_trip(self, candidates, tmp_path):
+    @pytest.mark.parametrize("name", ["clustered-k40", "extremes", "clustered-k1000",
+                                      "anchors-k10000"])
+    def test_round_trip(self, candidate_sets, name, tmp_path):
+        candidates = candidate_sets[name]
         path = tmp_path / "cands.json"
         save_candidates(candidates, path)
+        obj = json.loads(path.read_text())
+        assert obj["schema_version"] == 2
+        assert sorted(obj["lanes"]) == sorted(obj["coefficients"]) == ["dims", "float64"]
         loaded = load_candidates(path)
         assert loaded.k == candidates.k
         assert loaded.basis_id == candidates.basis_id
-        assert np.array_equal(loaded.coefficients, candidates.coefficients)
-        assert np.array_equal(loaded.xs, candidates.xs)
+        assert same_bits(loaded.xs, candidates.xs)
+        assert same_bits(loaded.coefficients, candidates.coefficients)
         assert np.array_equal(loaded.top_index, candidates.top_index)
+
+    @pytest.mark.parametrize("name", ["extremes", "clustered-k1000"])
+    def test_version_1_list_form_loads_to_equal_arrays(self, candidate_sets, name, tmp_path):
+        candidates = candidate_sets[name]
+        path = tmp_path / "cands.json"
+        save_version_1(candidates, path)
+        obj = json.loads(path.read_text())
+        assert obj["schema_version"] == 1 and "data" in obj["lanes"]
+        loaded = load_candidates(path)
+        assert same_bits(loaded.xs, candidates.xs)
+        assert same_bits(loaded.coefficients, candidates.coefficients)
+        assert np.array_equal(loaded.top_index, candidates.top_index)
+        assert loaded.basis_id == candidates.basis_id
+
+    def test_only_candidate_sets_read_version_2(self, basis, candidates, tmp_path):
+        save_candidates(candidates, tmp_path / "cands.json")
+        obj = json.loads((tmp_path / "cands.json").read_text())
+        obj["schema_version"] = 3
+        (tmp_path / "cands.json").write_text(json.dumps(obj))
+        with pytest.raises(VersionError, match="want 1 or 2"):
+            load_candidates(tmp_path / "cands.json")
+        save_basis(basis, tmp_path / "basis.json")
+        obj = json.loads((tmp_path / "basis.json").read_text())
+        assert obj["schema_version"] == 1 and "data" in obj["u"]
+        obj["schema_version"] = 2
+        (tmp_path / "basis.json").write_text(json.dumps(obj))
+        with pytest.raises(VersionError):
+            load_basis(tmp_path / "basis.json")
 
     def test_count_mismatch_detected(self, candidates, tmp_path):
         path = tmp_path / "cands.json"
@@ -234,3 +311,21 @@ class TestWriter:
             written = (tmp_path / f"{kind}.rows").read_bytes()
             assert written == (tmp_path / f"{kind}.dumps").read_bytes(), kind
             assert json.loads(written.splitlines()[0])["kind"] == kind
+
+
+class TestJsonFloats:
+    def test_same_bits_as_asarray(self):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, 7, -3,
+                  2**53 + 1, 2**63 + 1, -(2**64) - 1, 2**1023 + 2**970, 10**300]
+        assert same_bits(json_floats(values, "values"), np.asarray(values, dtype=np.float64))
+        assert json_floats([], "values").shape == (0,)
+
+    @pytest.mark.parametrize("values", [[1.0, True], [1.0, "2"], [None], [[1.0]], (1.0,), 1.0])
+    def test_only_flat_lists_of_numbers(self, values):
+        with pytest.raises(SchemaError, match="flat list of numbers"):
+            json_floats(values, "values")
+
+    @pytest.mark.parametrize("values", [[10**400], [float("inf")], [1.0, float("nan")]])
+    def test_only_finite_float64_values(self, values):
+        with pytest.raises(SchemaError):
+            json_floats(values, "values")
