@@ -72,6 +72,8 @@ class CandidateSet:
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.shape[0] != top_index.size:
             raise ValidationError("coefficients must be (k, m)")
+        if not np.isfinite(coeffs).all():
+            raise ValidationError("coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "top_index", top_index)

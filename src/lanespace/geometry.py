@@ -101,29 +101,34 @@ class SamplingGrid:
     def __hash__(self):
         return hash((self.image_width, self.image_height, self.y_coords.tobytes()))
 
+    @property
+    def first_block(self) -> int:
+        """The first ENVELOPE_BLOCK_ROWS-row block that holds an image row the ladder spans."""
+        return int(np.ceil(self.y_coords[-1])) // ENVELOPE_BLOCK_ROWS
+
     @cached_property
     def row_plan(self):
         """The per-row recipe SpanStack.of follows, worked out once per grid object.
 
-        (first, lower, upper, dy, dr, covered) describe the image rows from
-        block first, the first block holding a row the ladder spans, to the
-        last block. A row's x is (x[upper] - x[lower]) / dy * dr + x[lower],
-        np.interp's arithmetic on the samples y[lower] <= row < y[upper]; on
-        a row at a sample's height, or one the ladder does not span, upper ==
-        lower, dy == 1 and dr == 0. covered[t] marks the rows a lane with
-        top_index t covers: those the ladder spans with lower < t.
+        (lower, upper, dy, dr, uncovered) describe the image rows from
+        first_block to the last block. A row's x is (x[upper] - x[lower]) /
+        dy * dr + x[lower], np.interp's arithmetic on the samples y[lower] <=
+        row < y[upper]; on a row at a sample's height, or one the ladder does
+        not span, upper == lower, dy == 1 and dr == 0. uncovered[t] marks the
+        rows a lane with top_index t does not cover: all but those the ladder
+        spans with lower < t.
         """
         y, block = self.y_coords, ENVELOPE_BLOCK_ROWS
-        first = int(np.ceil(y[-1])) // block
-        rows = np.arange(first * block, -(-self.image_height // block) * block, dtype=np.float64)
+        rows = np.arange(self.first_block * block, -(-self.image_height // block) * block,
+                         dtype=np.float64)
         spanned = (y[-1] <= rows) & (rows <= y[0])
         lower = np.where(spanned, np.searchsorted(-y, -rows, side="left"), 0)
         between = spanned & (rows != y[lower])  # lower >= 1 here, because rows <= y[0]
         upper = np.where(between, lower - 1, lower)
         dy = np.where(between, y[upper] - y[lower], 1.0)
         dr = np.where(between, rows - y[lower], 0.0)
-        covered = spanned & (lower < np.arange(self.n_samples + 1)[:, None])
-        return first, lower, upper, dy, dr, covered
+        uncovered = ~spanned | (lower >= np.arange(self.n_samples + 1)[:, None])
+        return lower, upper, dy, dr, uncovered
 
 
 def lane_arrays(xs, top_index, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +236,16 @@ def stack_lanes(lanes, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
 class SpanStack:
     """Stripe spans of K lanes in row blocks, with pixel areas and envelopes; build with of().
 
-    spans is (K, blocks, 2, ENVELOPE_BLOCK_ROWS) int32: the start (index 0)
-    and end (index 1) column windows of each block of image rows, zero past
-    the image's last row. area is the (K,) int64 pixel count of each
-    stripe. lo and hi are (K, blocks): per block, the minimum start and the
-    maximum end over the rows the lane covers, or int32 max and 0 when it
-    covers none. Two lanes that share a pixel on some row have envelopes
-    that meet in that row's block: max(lo) < min(hi). stack[rows] selects
-    lanes.
+    spans is (2, K, blocks, ENVELOPE_BLOCK_ROWS) int32: plane 0 holds the
+    start and plane 1 the end column windows of each block of image rows,
+    from the grid's first_block to the block holding the image's last row,
+    zero past that row; of() writes each plane C-contiguous. The blocks above
+    first_block hold no row the ladder spans, so no lane covers them and
+    they are not stored. area is the (K,) int64 pixel count of each stripe.
+    lo and hi are (K, blocks): per block, the minimum start and the maximum
+    end over the rows the lane covers, or int32 max and 0 when it covers
+    none. Two lanes that share a pixel on some row have envelopes that meet
+    in that row's block: max(lo) < min(hi). stack[rows] selects lanes.
     """
 
     spans: np.ndarray
@@ -256,28 +263,30 @@ class SpanStack:
         other row, and a fully clipped one, has start == end == 0. The x on a
         row uses np.interp's arithmetic on the two samples around it, so every
         lane's row is bit-identical to interpolating that lane on its own.
-        width must be an integer >= 1, and the block array must fit
-        MAX_ARRAY_BYTES. Lanes are spanned in chunks of about SPAN_CHUNK_CELLS
-        lane rows, so the build peak is the stack plus one chunk's
-        intermediates, not those of all K lanes at once.
+        width must be an integer >= 1, and the span planes must fit
+        MAX_ARRAY_BYTES, checked before the grid's row plan is worked out.
+        Lanes are spanned in chunks of about SPAN_CHUNK_CELLS lane rows, each
+        written straight into the planes with its areas and envelopes, so the
+        build peak is the stack plus one chunk's intermediates.
         """
         check_positive_int(width, "stripe width")
         xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
-        k, height, image_width = xs.shape[0], grid.image_height, grid.image_width
-        blocks = -(-height // ENVELOPE_BLOCK_ROWS)
-        shape = (k, blocks, 2, ENVELOPE_BLOCK_ROWS)
-        check_budget(shape, 4, "stripe spans (lanes x blocks x start/end x block rows)")
-        spans = np.zeros(shape, dtype=np.int32)
+        k, image_width, block = xs.shape[0], grid.image_width, ENVELOPE_BLOCK_ROWS
+        blocks = -(-grid.image_height // block) - grid.first_block
+        check_budget((2, k, blocks, block), 4,
+                     "stripe spans (start/end x lanes x blocks x block rows)")
+        lower, upper, dy, dr, uncovered = grid.row_plan
+        spans = np.empty((2, k, blocks * block), dtype=np.int32)
         area = np.empty(k, dtype=np.int64)
-        first, lower, upper, dy, dr, covered = grid.row_plan
-        lo = np.full((k, blocks), np.iinfo(np.int32).max, dtype=np.int32)
-        hi = np.zeros_like(lo)  # blocks before first hold no covered row
-        step = max(1, SPAN_CHUNK_CELLS // height)
+        lo = np.empty((k, blocks), dtype=np.int32)
+        hi = np.empty_like(lo)
+        firsts = np.arange(0, blocks * block, block)  # each block's first row in a plane row
+        step = max(1, SPAN_CHUNK_CELLS // max(1, blocks * block))
         for c in range(0, k, step):
             lanes = slice(c, c + step)
             chunk = xs[lanes]
-            base = chunk[:, lower]
-            x = chunk[:, upper]
+            base = chunk.take(lower, axis=1)
+            x = chunk.take(upper, axis=1)
             # np.interp's arithmetic, which also overflows to +-inf silently on
             # finite samples more than float64's maximum apart; the clip maps inf
             with np.errstate(over="ignore"):
@@ -287,27 +296,32 @@ class SpanStack:
                 x += base
             # a window a width off the image is empty either way; clipped, every finite x casts
             np.clip(x, -width, image_width + width, out=x)
-            s = np.floor(x - width / 2.0 + 0.5).astype(np.int64)
-            s = s.reshape(len(chunk), -1, ENVELOPE_BLOCK_ROWS)  # rows into blocks from first on
-            # keep the covered rows' windows but those clipped away on the right; the ones
-            # clipped away on the left (s + width <= 0) clip to 0 and 0 anyway
-            keep = covered[top_index[lanes]].reshape(s.shape) & (s < image_width)
-            start, end = spans[lanes, first:, 0], spans[lanes, first:, 1]
-            np.multiply(np.clip(s, 0, image_width), keep, out=start)
+            x -= width / 2.0
+            x += 0.5
+            s = np.floor(x, out=x).astype(np.int64)
+            # uncovered rows and those clipped away on the right start at -width, so they
+            # clip to 0 and 0, as do those clipped away on the left (s + width <= 0)
+            gone = uncovered.take(top_index[lanes], axis=0)
+            gone |= s >= image_width
+            s[gone] = -width
+            start, end = spans[0, lanes], spans[1, lanes]
+            np.maximum(s, 0, out=start, casting="unsafe")  # every s is below image_width now
             s += width
-            np.multiply(np.clip(s, 0, image_width), keep, out=end)
-            area[lanes] = (end - start).sum(axis=(1, 2))
-            lo[lanes, first:] = np.where(end > start, start, np.iinfo(np.int32).max).min(axis=2)
-            hi[lanes, first:] = end.max(axis=2)  # every uncovered row is zero
+            np.clip(s, 0, image_width, out=end, casting="unsafe")
+            area[lanes] = (end - start).sum(axis=1)
+            lo[lanes] = np.minimum.reduceat(np.where(end > start, start, np.iinfo(np.int32).max),
+                                            firsts, axis=1)
+            hi[lanes] = np.maximum.reduceat(end, firsts, axis=1)  # every uncovered row is zero
+        spans = spans.reshape(2, k, blocks, block)
         for array in (spans, area, lo, hi):  # read-only: CandidateSet caches stacks for its lifetime
             array.setflags(write=False)
         return cls(spans, area, lo, hi)
 
     def __len__(self) -> int:
-        return self.spans.shape[0]
+        return self.spans.shape[1]
 
     def __getitem__(self, rows) -> "SpanStack":
-        return SpanStack(self.spans[rows], self.area[rows], self.lo[rows], self.hi[rows])
+        return SpanStack(self.spans[:, rows], self.area[rows], self.lo[rows], self.hi[rows])
 
     def overlap_bound(self, query: "SpanStack", width: int) -> np.ndarray:
         """(K,) int64 upper bound on the pixels each lane shares with the one lane of query.
@@ -337,17 +351,17 @@ class SpanStack:
         """
         k, blocks = self.lo.shape
         check_budget((len(queries), k), 8, "stripe IoU table (queries x lanes)")
-        blocked = self.spans.reshape(k * blocks, 2, ENVELOPE_BLOCK_ROWS)
+        starts, ends = self.spans.reshape(2, k * blocks, ENVELOPE_BLOCK_ROWS)
         out = np.zeros((len(queries), k))
         for q in range(len(queries)):
             meet = np.flatnonzero((self.lo < queries.hi[q]) & (queries.lo[q] < self.hi))
-            mine = blocked.take(meet, axis=0)
-            theirs = queries.spans[q].take(meet % blocks, axis=0)
-            inter = np.minimum(mine[:, 1], theirs[:, 1])
-            inter -= np.maximum(mine[:, 0], theirs[:, 0])
+            block = meet % blocks
+            inter = np.minimum(ends.take(meet, axis=0), queries.spans[1, q].take(block, axis=0))
+            inter -= np.maximum(starts.take(meet, axis=0), queries.spans[0, q].take(block, axis=0))
             np.maximum(inter, 0, out=inter)
             # pixel counts stay below 2**53, so the float64 sums are exact
-            inter = np.bincount(meet // blocks, weights=inter.sum(axis=1), minlength=k)
+            inter = np.bincount(meet // blocks, weights=np.einsum("ij->i", inter, dtype=np.int64),
+                                minlength=k)
             np.divide(inter, self.area + queries.area[q] - inter, out=out[q], where=inter > 0)
         return out
 

@@ -67,25 +67,29 @@ class PointAccuracyReport:
     per_image: tuple[ImagePointAccuracy, ...] = ()
 
 
-def _max_bipartite_matching(edges: np.ndarray) -> int:
-    """Size of a maximum matching in a boolean (n_pred, n_gt) graph."""
-    n_pred, n_gt = edges.shape
-    match_of_gt = [-1] * n_gt
+def _is_maximum_matching(edges: np.ndarray, pairs) -> bool:
+    """Whether pairs is a maximum matching of the boolean (n_pred, n_gt) graph edges.
 
-    def try_assign(p, visited):
-        for g in range(n_gt):
-            if edges[p, g] and not visited[g]:
-                visited[g] = True
-                if match_of_gt[g] < 0 or try_assign(match_of_gt[g], visited):
-                    match_of_gt[g] = p
-                    return True
-        return False
-
-    size = 0
-    for p in range(n_pred):
-        if try_assign(p, [False] * n_gt):
-            size += 1
-    return size
+    By Berge's theorem (1957) it is exactly when no augmenting path exists:
+    a path from an unmatched prediction to an unmatched ground truth whose
+    edges alternate between outside and inside the matching. One
+    breadth-first search from every unmatched prediction at once looks for
+    one, a layer per step, so each prediction's row is read at most once.
+    """
+    pred_of_gt = np.full(edges.shape[1], -1)
+    unmatched = np.ones(edges.shape[0], dtype=bool)
+    for i, j in pairs:
+        pred_of_gt[j] = i
+        unmatched[i] = False
+    seen = np.zeros(edges.shape[1], dtype=bool)
+    frontier = np.flatnonzero(unmatched)
+    while frontier.size:
+        reached = edges[frontier].any(axis=0) & ~seen
+        if (pred_of_gt[reached] < 0).any():
+            return False
+        seen |= reached
+        frontier = pred_of_gt[reached]  # each reached ground truth leads on to its prediction
+    return True
 
 
 def _greedy_pairs(score: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
@@ -125,9 +129,9 @@ def match_lanes(
     n_pred, n_gt = ious.shape
     above = ious > iou_threshold
     cells = ious.tolist()
-    pairs = [(i, j, cells[i][j]) for i, j in _greedy_pairs(ious, above)]
+    greedy = _greedy_pairs(ious, above)
+    pairs = [(i, j, cells[i][j]) for i, j in greedy]
     tp = len(pairs)
-    optimal = _max_bipartite_matching(above)
     return ImageMatch(
         image_id=image_id,
         tp=tp,
@@ -136,7 +140,7 @@ def match_lanes(
         pairs=tuple(pairs),
         pred_best_iou=tuple(ious.max(axis=1).tolist()) if n_gt else (0.0,) * n_pred,
         gt_best_iou=tuple(ious.max(axis=0).tolist()) if n_pred else (0.0,) * n_gt,
-        greedy_equals_optimal=tp == optimal,
+        greedy_equals_optimal=_is_maximum_matching(above, greedy),
     )
 
 

@@ -11,7 +11,7 @@ from lanespace import (
     cluster_lanes,
     generate_synthetic,
 )
-from lanespace.geometry import SpanStack
+from lanespace.geometry import ENVELOPE_BLOCK_ROWS, SpanStack
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +64,11 @@ def candidate_lanes(candidates):
 
 
 def row_spans(xs, top_index, grid, width):
-    """A lane stack's (start, end) windows, each (K, image_height), read from SpanStack.of."""
+    """A lane stack's (start, end) windows, each (K, image_height), read from SpanStack.of.
+
+    The rows above the grid's first_block, which the stack does not store, are zero.
+    """
     spans = SpanStack.of(xs, top_index, grid, width).spans
-    return spans.transpose(2, 0, 1, 3).reshape(2, len(spans), -1)[:, :, : grid.image_height]
+    rows = spans.reshape(2, spans.shape[1], -1)
+    dropped = grid.first_block * ENVELOPE_BLOCK_ROWS
+    return np.pad(rows, ((0, 0), (0, 0), (dropped, 0)))[:, :, : grid.image_height]

@@ -367,6 +367,9 @@ BAD_STACKS = {
     "top-index-minus-1": lambda xs, top, coeffs: (xs, np.r_[-1, top[1:]], coeffs),
     "top-index-n-plus-1": lambda xs, top, coeffs: (xs, np.r_[xs.shape[1] + 1, top[1:]], coeffs),
     "coefficient-rows": lambda xs, top, coeffs: (xs, top, coeffs[1:]),
+    "coefficient-nan": lambda xs, top, coeffs: (xs, top, coeffs + np.nan),
+    "coefficient-inf": lambda xs, top, coeffs: (xs, top, coeffs + np.inf),
+    "coefficient-minus-inf": lambda xs, top, coeffs: (xs, top, coeffs - np.inf),
 }
 
 
@@ -534,7 +537,7 @@ class TestSpanStackIous:
         assert stripe_ious(a, b).shape == sizes
 
     def test_build_peak_stays_near_the_stack(self):
-        grid = SamplingGrid(1280, 4000, np.linspace(3999.0, 1400.0, 50))
+        grid = SamplingGrid(1280, 6000, np.linspace(5999.0, 2100.0, 50))
         xs, top = random_stack(np.random.default_rng(4), grid, 1000)
         tracemalloc.start()
         try:
@@ -550,6 +553,7 @@ class TestSpanStackIous:
         tall = SamplingGrid(1280, 10**9, np.linspace(719.0, 252.0, 5))
         with pytest.raises(ValidationError, match="stripe spans"):
             SpanStack.of(np.zeros((2, 5)), np.full(2, 5), tall, 30)
+        assert "row_plan" not in tall.__dict__  # where the cached_property would keep it
 
 
 class TestStripeWidthMustBeAnInteger:

@@ -23,6 +23,7 @@ from lanespace import (
 )
 from lanespace.geometry import (
     DEFAULT_STRIPE_WIDTH,
+    ENVELOPE_BLOCK_ROWS,
     MAX_ARRAY_BYTES,
     SpanStack,
     check_budget,
@@ -380,6 +381,66 @@ class TestStripeSpans:
                 start, end = loop_stripe_spans(Lane(xs[k], int(top[k]), grid), width)
                 assert np.array_equal(starts[k], start)
                 assert np.array_equal(ends[k], end)
+
+
+# a ladder top at row 0, one row above the block boundary at row 240, half a row either
+# side of it and on it, with the first block that each ladder's spans start at
+LADDER_TOPS = {0.0: 0, 239.0: 9, 239.5: 10, 240.0: 10, 240.5: 10}
+
+
+def random_lanes(rng, grid, k):
+    """k wandering lanes, some partly off the image; the first two have top_index 0 and 1."""
+    n = grid.n_samples
+    xs = rng.uniform(-40.0, grid.image_width + 40.0, size=(k, 1))
+    xs = xs + np.cumsum(rng.normal(0.0, 15.0, size=(k, n)), axis=1)
+    top = rng.integers(0, n + 1, size=k)
+    top[:2] = [0, 1]
+    return [Lane(x, t, grid) for x, t in zip(xs, top)]
+
+
+def pixel_masks(lanes, width):
+    """(K, image_height, image_width) boolean stripe masks from loop_stripe_spans."""
+    cols = np.arange(lanes[0].grid.image_width)
+    starts, ends = (np.array(side)[:, :, None] for side in zip(*[loop_stripe_spans(lane, width)
+                                                                  for lane in lanes]))
+    return (starts <= cols) & (cols < ends)
+
+
+class TestSpanStackLayout:
+    @pytest.mark.parametrize("top", list(LADDER_TOPS))
+    def test_planes_hold_the_blocks_from_the_ladder_top(self, top):
+        grid = SamplingGrid(200, 300, np.linspace(299.0, top, 9))
+        lanes = random_lanes(np.random.default_rng(1), grid, 7)
+        stack = SpanStack.of(*stack_lanes(lanes, grid), grid, 30)
+        blocks = 13 - LADDER_TOPS[top]  # 300 rows fill 13 blocks, the last one in part
+        assert grid.first_block == LADDER_TOPS[top]
+        assert stack.spans.shape == (2, 7, blocks, ENVELOPE_BLOCK_ROWS)
+        assert stack.spans.dtype == np.int32
+        assert stack.lo.shape == stack.hi.shape == (7, blocks)
+        for plane in stack.spans:
+            assert plane.flags.c_contiguous and not plane.flags.writeable
+
+    @pytest.mark.parametrize("top", list(LADDER_TOPS))
+    def test_kernel_equals_pixel_reference(self, top):
+        grid = SamplingGrid(200, 300, np.linspace(299.0, top, 9))
+        lanes = random_lanes(np.random.default_rng(int(2 * top)), grid, 24)
+        for width in (1, 10, 30):
+            masks = pixel_masks(lanes, width)
+            stack = SpanStack.of(*stack_lanes(lanes, grid), grid, width)
+            table = stack[6:].ious(stack[:6])
+            for q in range(6):
+                inter = np.count_nonzero(masks[6:] & masks[q], axis=(1, 2))
+                union = np.count_nonzero(masks[6:] | masks[q], axis=(1, 2))
+                expected = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+                assert np.array_equal(table[q], expected)
+
+    def test_ladder_spanning_no_row_stores_no_block(self):
+        grid = SamplingGrid(5, 48, np.array([47.5]))  # between the image's last two rows
+        assert grid.first_block == 2 == -(-48 // ENVELOPE_BLOCK_ROWS)
+        stack = SpanStack.of(np.full((3, 1), 2.0), np.ones(3, dtype=np.int64), grid, 30)
+        assert stack.spans.shape == (2, 3, 0, ENVELOPE_BLOCK_ROWS)
+        assert not stack.area.any()
+        assert np.array_equal(stack.ious(stack), np.zeros((3, 3)))
 
 
 # each site's integer argument, by the name its error carries

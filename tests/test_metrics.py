@@ -11,6 +11,7 @@ from lanespace import (
     ValidationError,
     f_measure,
     match_lanes,
+    metrics,
     resample_polyline,
     stripe_iou,
     tusimple_score,
@@ -167,6 +168,47 @@ class TestMatchLanes:
             result_2x.fp,
             result_2x.fn,
         )
+
+
+class TestGreedyAudit:
+    """metrics._is_maximum_matching: Berge's test of the greedy pairs, without recursion."""
+
+    def test_all_true_graph_of_1200_nodes(self):
+        edges = np.ones((1200, 1200), dtype=bool)
+        diagonal = [(i, i) for i in range(1200)]  # greedy's pairs when every score ties
+        assert metrics._is_maximum_matching(edges, diagonal)
+        assert not metrics._is_maximum_matching(edges, diagonal[:-1])
+        assert not metrics._is_maximum_matching(edges, [])
+
+    def test_augmenting_path_through_all_2400_nodes(self):
+        # prediction i meets ground truths i and i + 1; pairing each with i + 1 leaves
+        # prediction 1199 and ground truth 0 free, joined only through every other node
+        n = 1200
+        edges = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        assert not metrics._is_maximum_matching(edges, [(i, i + 1) for i in range(n - 1)])
+        assert metrics._is_maximum_matching(edges, [(i, i) for i in range(n)])
+
+    def test_greedy_below_the_maximum_is_flagged(self, make_vertical):
+        # prediction 0 takes ground truth 0 first, the only one prediction 1 clears 0.5 with
+        gts = [make_vertical(100.0), make_vertical(108.0)]
+        preds = [make_vertical(101.0), make_vertical(96.0)]
+        iou = np.array([[stripe_iou(p, g, 30) for g in gts] for p in preds])
+        assert iou[0, 0] > iou[1, 0] > 0.5 and iou[0, 1] > 0.5 > iou[1, 1]
+        result = match_lanes(preds, gts, 0.5, 30)
+        assert [(i, j) for i, j, _ in result.pairs] == [(0, 0)]
+        assert best_injective_match_count(iou, 0.5) == 2
+        assert not result.greedy_equals_optimal
+        assert not metrics._is_maximum_matching(iou > 0.5, [(0, 0)])
+        assert metrics._is_maximum_matching(iou > 0.5, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_brute_force_maximum(self, seed):
+        rng = np.random.default_rng(seed)
+        score = rng.uniform(size=tuple(rng.integers(1, 6, size=2)))
+        threshold = rng.uniform(0.2, 0.8)
+        greedy = metrics._greedy_pairs(score, score > threshold)
+        maximum = best_injective_match_count(score, threshold)
+        assert metrics._is_maximum_matching(score > threshold, greedy) == (len(greedy) == maximum)
 
 
 class TestFMeasure:
