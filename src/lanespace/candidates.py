@@ -23,6 +23,7 @@ from .geometry import (
     SpanStack,
     check_budget,
     check_positive_int,
+    check_stripe_width,
     lane_arrays,
     stack_lanes,
 )
@@ -85,7 +86,7 @@ class CandidateSet:
 
     def spans(self, width: int) -> SpanStack:
         """The candidates' span stack for one stripe width, built on first use."""
-        check_positive_int(width, "stripe width")
+        check_stripe_width(width)
         if width not in self._span_cache:
             self._span_cache[width] = SpanStack.of(self.xs, self.top_index, self.grid, width)
         return self._span_cache[width]

@@ -36,6 +36,17 @@ def check_positive_int(value, name: str) -> None:
         raise ValidationError(f"{name} must be an integer >= 1")
 
 
+def check_stripe_width(width) -> None:
+    """ValidationError unless width is an integer in [1, MAX_IMAGE_SIDE] (a bool is not one).
+
+    No window is wider than the widest image, and the bound keeps the span
+    build's window edges within int64.
+    """
+    check_positive_int(width, "stripe width")
+    if width > MAX_IMAGE_SIDE:
+        raise ValidationError(f"stripe width must be at most {MAX_IMAGE_SIDE}")
+
+
 def check_budget(shape, itemsize: int, what: str) -> None:
     """ValidationError naming what when an array of shape and itemsize exceeds MAX_ARRAY_BYTES."""
     shape = tuple(map(int, shape))  # Python ints: exact products, plain message
@@ -269,7 +280,7 @@ class SpanStack:
         written straight into the planes with its areas and envelopes, so the
         build peak is the stack plus one chunk's intermediates.
         """
-        check_positive_int(width, "stripe width")
+        check_stripe_width(width)
         xs, top_index = np.asarray(xs, dtype=np.float64), np.asarray(top_index)
         k, image_width, block = xs.shape[0], grid.image_width, ENVELOPE_BLOCK_ROWS
         blocks = -(-grid.image_height // block) - grid.first_block

@@ -26,7 +26,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .eigenspace import EigenBasis, project
 from .errors import GridMismatch, ValidationError
-from .geometry import DEFAULT_STRIPE_WIDTH, SpanStack, check_positive_int, stack_lanes
+from .geometry import DEFAULT_STRIPE_WIDTH, SpanStack, check_stripe_width, stack_lanes
 from .pipeline import CandidateScores
 
 # Down-weights the geometric summaries so the activation channel dominates
@@ -46,7 +46,7 @@ class OracleConfig:
             raise ValidationError("iou_floor must be in [0, 1)")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValidationError("noise_sigma must be finite and non-negative")
-        check_positive_int(self.stripe_width, "stripe width")
+        check_stripe_width(self.stripe_width)
 
 
 def _geometry_summary(xs: np.ndarray, grid) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .errors import DimensionMismatch, EmptyInput, TooManyNodes, ValidationError
 from .eigenspace import EigenBasis, reconstruct
-from .geometry import DEFAULT_STRIPE_WIDTH, Lane, check_positive_int
+from .geometry import DEFAULT_STRIPE_WIDTH, Lane, check_positive_int, check_stripe_width
 
 # The exact clique search is a branch and bound whose worst case still
 # grows as 2^T (mixed-sign complete graphs at kappa=-1 take 0.2-1.2 s at 25);
@@ -82,7 +82,7 @@ class CliqueResult:
 
 def _check_nms_settings(t, iou_threshold, width, min_probability) -> None:
     check_positive_int(t, "t")
-    check_positive_int(width, "stripe width")
+    check_stripe_width(width)
     if not 0.0 < iou_threshold <= 1.0:
         raise ValidationError("iou_threshold must be in (0, 1]")
     if not 0.0 <= min_probability <= 1.0:

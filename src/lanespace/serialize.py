@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
 
 import numpy as np
 
@@ -123,15 +124,17 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
 def _json(value, rows: dict) -> str:
     """json.dumps(value)'s text, where a float64 array stands for its row-major flat list.
 
-    The array is written row by row (a 0-d or 1-D array is one row), and rows
-    maps a row's bytes to its text, so a row that repeats is encoded once.
-    Dict keys must be strings.
+    A 0-d or 1-D array is one json.dumps of its list; a larger one is written
+    row by row, and rows maps a row's bytes to its text, so a row that
+    repeats is encoded once. Dict keys must be strings.
     """
     if isinstance(value, np.ndarray):
+        if value.ndim <= 1:
+            return json.dumps(value.ravel().tolist())
         if not value.size:
             return "[]"
-        flat = value.reshape(-1, value.shape[-1] if value.ndim else 1)
-        keys = [row.tobytes() for row in flat]
+        flat = np.ascontiguousarray(value.reshape(-1, value.shape[-1]))
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
         new = {key: i for i, key in enumerate(keys) if key not in rows}
         if len(new) == len(keys):  # no row repeats or was seen: nothing to share
             return json.dumps(flat.ravel().tolist())
@@ -175,9 +178,18 @@ def _read_json(path, kind: str) -> dict:
     return _parse(read_text(path), path, kind)
 
 
+def _lines(path) -> list[str]:
+    """The non-blank lines of a JSON-lines file.
+
+    Lines end at "\n" only: U+2028, U+2029 and U+0085, which str.splitlines
+    also breaks at, may stand raw inside a JSON string.
+    """
+    return [line for line in read_text(path).split("\n") if line.strip()]
+
+
 def _read_lines(path, kind: str) -> list[dict]:
     """Parse and header-check every non-blank line of a JSON-lines file."""
-    return [_parse(line, path, kind) for line in read_text(path).splitlines() if line.strip()]
+    return [_parse(line, path, kind) for line in _lines(path)]
 
 
 def save_basis(basis: EigenBasis, path):
@@ -253,19 +265,108 @@ def save_image_scores(entries, path):
     )
 
 
+# A scores line exactly as save_image_scores writes it: the header, an image
+# id of printable ASCII with no escape, and each array's dims (JSON integers
+# of at most 18 digits, so each fits an intp; re.ASCII keeps \d from matching
+# other scripts' digits, which int() reads and JSON refuses) and data list.
+_SCORES_ARRAYS = (("probabilities", 1), ("height_distributions", 2), ("offsets", 2),
+                  ("features", 2), ("height_grid", 1))
+_SCORES_LINE = re.compile(
+    r'\{"schema_version": 1, "kind": "image_scores", "image_id": "([ !#-\[\]-~]*)"'
+    + "".join(f', "{key}": ' + r'\{"dims": \[' + ", ".join([r"(0|[1-9]\d{0,17})"] * ndim)
+              + r'\], "data": (\[[^\]]*\])\}' for key, ndim in _SCORES_ARRAYS)
+    + r"\}",
+    re.ASCII,
+)
+
+
+def _list_values(text: str, size: int) -> np.ndarray:
+    """The size numbers of a flat JSON list's text, as json_floats reads them.
+
+    Every token is filled in place when it is exactly 0.0 or 1.0; the others
+    are joined by commas and read by one json.loads and json_floats, so each
+    value comes from the general path's parser. Raises ValueError (a
+    SchemaError, a JSON error or a non-ASCII character among them) unless the
+    text is size numbers separated by ", " exactly, or RecursionError for a
+    list nested deeper than json.loads can follow.
+    """
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, np.uint8)
+    # every 0.0 or 1.0 but the last ends in "0,"; with no "0,", json.loads reads the list
+    ends_in_zero = buf[:-1] == ord("0")
+    ends_in_zero &= buf[1:] == ord(",")
+    if not ends_in_zero.any():
+        values = json_floats(json.loads(text), "array data")
+        if values.size != size:
+            raise ValueError("count mismatch")
+        return values
+    # a comma ends every token, and three more bytes let a 4-byte read start at any token
+    buf = np.frombuffer(raw[1:-1] + b",\0\0\0", np.uint8)
+    comma = buf == ord(",")
+    ends = np.flatnonzero(comma)
+    if ends.size != size or np.count_nonzero(comma[:-4] & (buf[1:-3] == ord(" "))) != size - 1:
+        raise ValueError("not size tokens separated by ', '")
+    starts = np.concatenate(([0], ends[:-1] + 2))
+    heads = np.ndarray(buf.size - 3, "<u4", buf, strides=(1,))[starts]  # 4 bytes from each start
+    zero, one = np.frombuffer(b"0.0,1.0,", "<u4")
+    # no token holds a comma, so one whose four bytes from its start are "0.0," is exactly 0.0
+    values = (heads == one).astype(np.float64)
+    rest = np.flatnonzero((heads != zero) & (heads != one))
+    if rest.size:
+        lengths = ends[rest] - starts[rest] + 1  # each token with the comma after it
+        at = np.repeat(starts[rest] - np.cumsum(lengths) + lengths, lengths)
+        at += np.arange(at.size)
+        decoded = json_floats(json.loads(b"[" + buf[at[:-1]].tobytes() + b"]"), "array data")
+        if decoded.size != rest.size:
+            raise ValueError("count mismatch")
+        values[rest] = decoded
+    return values
+
+
+def _match_scores(line: str) -> dict | None:
+    """The image id and decoded arrays of a scores line in save_image_scores's layout, or None.
+
+    None when the line does not match that layout or a data list is not
+    provably what the general path would decode; the general path then
+    reads the line, and names the error if there is one.
+    """
+    match = _SCORES_LINE.fullmatch(line)
+    if match is None:
+        return None
+    groups = iter(match.groups())
+    fields = {"image_id": next(groups)}
+    try:
+        for key, ndim in _SCORES_ARRAYS:
+            dims = [int(next(groups)) for _ in range(ndim)]
+            fields[key] = _list_values(next(groups), math.prod(dims)).reshape(dims)
+    except (ValueError, RecursionError):  # parse_json's failures, so the general path names them
+        return None
+    return fields
+
+
+def _scores_array(obj: dict, key: str, ndim: int) -> np.ndarray:
+    value = _require(obj, key)  # an array _match_scores decoded, or a parsed line's JSON field
+    return value if isinstance(value, np.ndarray) else _decode_array(value, expected_ndim=ndim)
+
+
 def load_image_scores(path):
-    """Read per-image score records; yields (image_id, scores, features, height_grid)."""
+    """Read per-image score records; yields (image_id, scores, features, height_grid).
+
+    A line in save_image_scores's own layout is decoded by _match_scores,
+    any other through parse_json; both give the same arrays or errors.
+    """
     out = []
-    for obj in _read_lines(path, "image_scores"):
+    for line in _lines(path):
+        obj = _match_scores(line) or _parse(line, path, "image_scores")
         scores = CandidateScores(
-            _decode_array(_require(obj, "probabilities"), expected_ndim=1),
-            _decode_array(_require(obj, "height_distributions"), expected_ndim=2),
-            _decode_array(_require(obj, "offsets"), expected_ndim=2),
+            _scores_array(obj, "probabilities", 1),
+            _scores_array(obj, "height_distributions", 2),
+            _scores_array(obj, "offsets", 2),
         )
-        features = _decode_array(_require(obj, "features"), expected_ndim=2)
+        features = _scores_array(obj, "features", 2)
         if features.shape[0] != scores.k:
             raise SchemaError("feature rows do not match candidate count")
-        heights = _decode_array(_require(obj, "height_grid"), expected_ndim=1)
+        heights = _scores_array(obj, "height_grid", 1)
         out.append((str(_require(obj, "image_id")), scores, features, heights))
     return out
 

@@ -1,3 +1,7 @@
+import functools
+import json
+import operator
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,40 @@ def row_spans(xs, top_index, grid, width):
     rows = spans.reshape(2, spans.shape[1], -1)
     dropped = grid.first_block * ENVELOPE_BLOCK_ROWS
     return np.pad(rows, ((0, 0), (0, 0), (dropped, 0)))[:, :, : grid.image_height]
+
+
+# Stand-ins for literals json.dumps cannot write, spliced into the text by spliced_dumps.
+LONG_INT = "<5000 digits>"  # beyond Python's 4,300-digit limit for int()
+DEEP_LIST = "<5000 deep>"  # deeper than the JSON decoder's recursion limit
+SPLICES = {LONG_INT: "9" * 5000, DEEP_LIST: "[" * 5000 + "]" * 5000}
+# values that replace one value of an artifact line in the mutation tests
+MUTATIONS = ["a", {"a": 1}, [1], 0.5, 7, True, None, float("nan"), -1, 10**400, LONG_INT, DEEP_LIST]
+
+
+def spliced_dumps(obj) -> str:
+    """json.dumps(obj)'s text with each stand-in replaced by its literal."""
+    text = json.dumps(obj)
+    for stand_in, literal in SPLICES.items():
+        text = text.replace(json.dumps(stand_in), literal)
+    return text
+
+
+def value_paths(node, path=()):
+    """Every path into a JSON value, descending into the first two items of each list."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:2])
+    else:
+        children = ()
+    for key, child in children:
+        yield from value_paths(child, (*path, key))
+
+
+def mutated(obj, path, value):
+    """obj with the value at path replaced by value (in place), or value itself at the root."""
+    if not path:
+        return value
+    functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
+    return obj

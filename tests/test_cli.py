@@ -1,7 +1,5 @@
 import base64
-import functools
 import json
-import operator
 
 import numpy as np
 import pytest
@@ -9,9 +7,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_LIST, LONG_INT, MUTATIONS, mutated, spliced_dumps, value_paths
 from lanespace.cli import main
 from lanespace.datasets import write_tusimple_jsonl
 from lanespace.errors import ValidationError
+from lanespace.geometry import MAX_IMAGE_SIDE
 from lanespace.serialize import (
     SCHEMA_VERSION,
     load_basis,
@@ -227,22 +227,9 @@ class TestValidationBehaviour:
         assert "cannot read" in result.output
 
 
-# Stand-ins for literals json.dumps cannot write, spliced into the text by _dumps.
-LONG_INT = "<5000 digits>"  # beyond Python's 4,300-digit limit for int()
-DEEP_LIST = "<5000 deep>"  # deeper than the JSON decoder's recursion limit
-SPLICES = {LONG_INT: "9" * 5000, DEEP_LIST: "[" * 5000 + "]" * 5000}
-
-
-def _dumps(obj) -> str:
-    text = json.dumps(obj)
-    for stand_in, literal in SPLICES.items():
-        text = text.replace(json.dumps(stand_in), literal)
-    return text
-
-
 def _config(tmp_path, defaults):
     path = tmp_path / "config.json"
-    path.write_text(_dumps({"schema_version": 1, "defaults": defaults}))
+    path.write_text(spliced_dumps({"schema_version": 1, "defaults": defaults}))
     return str(path)
 
 
@@ -251,7 +238,7 @@ def _edited(path, tmp_path, edit):
     obj = json.loads(path.read_text().splitlines()[0])
     edit(obj)
     out = tmp_path / f"bad_{path.name}"
-    out.write_text(_dumps(obj) + "\n")
+    out.write_text(spliced_dumps(obj) + "\n")
     return str(out)
 
 
@@ -314,7 +301,7 @@ def _build_basis_on_line(tmp_path, **fields):
     """build-basis on a one-line TuSimple file whose fields are replaced by fields."""
     obj = {"raw_file": "a", "h_samples": [700, 600], "lanes": [[5, 6]], **fields}
     path = tmp_path / "edited.jsonl"
-    path.write_text(_dumps(obj) + "\n")
+    path.write_text(spliced_dumps(obj) + "\n")
     return ["build-basis", "-d", str(path), "-o", str(tmp_path / "b.json")]
 
 
@@ -330,6 +317,13 @@ BAD_INPUTS = {
         lambda ws, tmp: [*_detect(ws, tmp, str(tmp / "empty.jsonl")), "--min-prob", "2"], 2),
     "detect-no-images-stripe-width-0": (
         lambda ws, tmp: [*_detect(ws, tmp, str(tmp / "empty.jsonl")), "--stripe-width", "0"], 2),
+    # a width beyond int64 once overflowed inside the span build
+    "eval-candidates-stripe-width-2-63": (
+        lambda ws, tmp: ["eval-candidates", "-c", str(ws["cands"]), "-d", str(ws["test"]),
+                         "--stripe-width", str(2**63)], 2),
+    "eval-candidates-stripe-width-over-max-image-side": (
+        lambda ws, tmp: ["eval-candidates", "-c", str(ws["cands"]), "-d", str(ws["test"]),
+                         "--stripe-width", str(MAX_IMAGE_SIDE + 1)], 2),
     "build-basis-rank-0": (
         lambda ws, tmp: ["build-basis", "-d", str(ws["train"]), "--rank", "0",
                          "-o", str(tmp / "b.json")], 2),
@@ -551,36 +545,16 @@ ARTIFACT_READERS = {
         "det", lambda ws, path: ["eval", "-p", path, "-d", str(ws["test"]), "-b", str(ws["basis"])]),
     "test-dataset": ("test", lambda ws, path: ["iou", "-d", path, "-b", str(ws["basis"])]),
 }
-MUTATIONS = ["a", {"a": 1}, [1], 0.5, 7, True, None, float("nan"), -1, 10**400, LONG_INT, DEEP_LIST]
-
-
-def _value_paths(node, path=()):
-    """Every path into a JSON value, descending into the first two items of each list."""
-    yield path
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node[:2])
-    else:
-        children = ()
-    for key, child in children:
-        yield from _value_paths(child, (*path, key))
-
-
 class TestArtifactMutations:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_one_mutated_value_exits_0_or_2_without_traceback(self, runner, workspace, data):
         key, command = ARTIFACT_READERS[data.draw(st.sampled_from(sorted(ARTIFACT_READERS)))]
         obj = json.loads(workspace[key].read_text().splitlines()[0])
-        path = data.draw(st.sampled_from(list(_value_paths(obj))))
+        path = data.draw(st.sampled_from(list(value_paths(obj))))
         value = data.draw(st.sampled_from(MUTATIONS))
-        if path:
-            functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
-        else:
-            obj = value
         out = workspace["root"] / f"mutated_{workspace[key].name}"
-        out.write_text(_dumps(obj) + "\n")
+        out.write_text(spliced_dumps(mutated(obj, path, value)) + "\n")
         result = runner.invoke(main, command(workspace, str(out)))
         assert result.exit_code in (0, 2), result.output
         assert isinstance(result.exception, (SystemExit, type(None))), result.exception

@@ -1,16 +1,21 @@
+import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import candidate_lanes
+from conftest import MUTATIONS, candidate_lanes, mutated, spliced_dumps, value_paths
 from lanespace import (
     CandidateScores,
     CandidateSet,
     ClusteringConfig,
     SchemaError,
     SyntheticSpec,
+    ValidationError,
     VersionError,
     cluster_lanes,
     f_measure,
@@ -206,6 +211,20 @@ class TestCandidatesRoundTrip:
             load_candidates(path)
 
 
+# (scores, features, height grid) of one small image: one-hot and fractional
+# rows, signed zeros, a subnormal and a two-digit dims, so its line holds
+# tokens of every kind
+SCORES_ENTRY = (
+    CandidateScores(
+        np.array([0.0, 1.0, 0.25, 1 / 3]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]]),
+        np.array([[0.0, -0.0], [1.5, 0.0], [0.0, 0.0], [-2.25, 5e-324]]),
+    ),
+    np.pad([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.1, 0.2, 1e300], [0.0, 0.0, -1.0]], ((0, 0), (0, 7))),
+    np.array([719.0, 400.0, 252.0]),
+)
+
+
 class TestScoresRoundTrip:
     def test_round_trip(self, basis, candidates, tmp_path):
         rng = np.random.default_rng(0)
@@ -227,6 +246,145 @@ class TestScoresRoundTrip:
         assert np.array_equal(f2, features)
         assert np.array_equal(h2, heights)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_breaks_other_than_newline_stay_inside_an_id(self, char, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        save_image_scores([("img", *SCORES_ENTRY)], path)
+        obj = json.loads(path.read_text())
+        obj["image_id"] = f"a{char}b"
+        path.write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+        [(image_id, scores, features, heights)] = load_image_scores(path)
+        assert image_id == f"a{char}b"
+        assert same_bits(features, SCORES_ENTRY[1])
+
+
+def scores_outcome(path):
+    """load_image_scores(path) as plain tuples of arrays, or the type and message of its error."""
+    try:
+        entries = load_image_scores(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [(image_id, s.probabilities, s.height_distributions, s.offsets, f, h)
+            for image_id, s, f, h in entries]
+
+
+def assert_read_as_the_general_path_reads(text, path):
+    """load_image_scores reads text as it does with the scores-line matcher switched off."""
+    path.write_text(text, encoding="utf-8")
+    outcome = scores_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_SCORES_LINE", re.compile("(?!)"))  # never matches
+        general = scores_outcome(path)
+    if isinstance(general, tuple) or isinstance(outcome, tuple):
+        assert outcome == general
+        return
+    assert len(outcome) == len(general)
+    for entry, expected in zip(outcome, general):
+        assert entry[0] == expected[0]
+        assert all(same_bits(a, b) for a, b in zip(entry[1:], expected[1:]))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# what a dims integer may be replaced by
+DIMS_EDITS = [lambda d: "0" + d, lambda d: d.translate(ARABIC_INDIC),
+              lambda d: d[0] + d[1:].translate(ARABIC_INDIC), lambda d: "1" + "0" * 18,
+              lambda d: "9" * 5000]
+# what one number of the line may be replaced by
+TOKEN_EDITS = ["1.00", "1e0", "1E0", "1", "-0.0", "0", "00.0", "0.0", "1.0", "٣", "NaN",
+               "Infinity", "-Infinity", "+1.0", ".5", "[" * 5000]
+SEPARATOR_EDITS = [",", ",  ", ", \t", ",\t", ",\r", ",\n", " ,"]
+ID_EDITS = ["\x01", "\x1f", "\t", "\x7f", '\\"', "\\u0041", "é", "\u2028"]
+
+
+def _spans(pattern, text, offset=0):
+    return [(offset + m.start(), offset + m.end()) for m in re.finditer(pattern, text)]
+
+
+def _replace_one(line, draw, spans, replacements):
+    """line with one of spans replaced by a drawn replacement (a text, or a function of the old)."""
+    start, end = draw(st.sampled_from(spans))
+    new = draw(st.sampled_from(replacements))
+    return line[:start] + (new(line[start:end]) if callable(new) else new) + line[end:]
+
+
+def _swap_keys(line, draw):
+    obj = json.loads(line)
+    dicts = [obj, *(value for value in obj.values() if isinstance(value, dict))]
+    target = draw(st.sampled_from(dicts))
+    keys = list(target)
+    i = draw(st.integers(0, len(keys) - 2))
+    keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    reordered = {key: target.pop(key) for key in keys}
+    target.update(reordered)
+    return json.dumps(obj)
+
+
+def _mutate_value(line, draw):
+    obj = json.loads(line)
+    path = draw(st.sampled_from(list(value_paths(obj))))
+    return spliced_dumps(mutated(obj, path, draw(st.sampled_from(MUTATIONS))))
+
+
+SCORES_LINE_EDITS = {
+    "mutated value": _mutate_value,
+    "dims": lambda line, draw: _replace_one(
+        line, draw, [span for m in re.finditer(r'"dims": \[[^\]]*', line)
+                     for span in _spans(r"[0-9]+", m.group(), m.start())], DIMS_EDITS),
+    "token": lambda line, draw: _replace_one(
+        line, draw, _spans(r"(?<=[\[ ])-?[0-9][0-9.eE+-]*", line), TOKEN_EDITS),
+    "separator": lambda line, draw: _replace_one(line, draw, _spans(", ", line), SEPARATOR_EDITS),
+    "image id": lambda line, draw: _replace_one(
+        line, draw, _spans(r'(?<="image_id": "synth_0000)', line), ID_EDITS),
+    "swapped keys": _swap_keys,
+}
+
+
+class TestScoresLineReader:
+    @pytest.fixture(scope="class")
+    def line(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
+        save_image_scores([("synth_00001", *SCORES_ENTRY)], path)
+        return path.read_text().rstrip("\n")
+
+    def test_writer_lines_never_reach_the_json_parser(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(5)
+        k = 300
+        dense = CandidateScores(rng.uniform(size=k), rng.dirichlet(np.ones(25), size=k),
+                                rng.normal(size=(k, 6)))
+        empty = CandidateScores(np.zeros(0), np.zeros((0, 25)), np.zeros((0, 6)))
+        entries = [("img-0", *SCORES_ENTRY),
+                   ("img 1", dense, rng.normal(size=(k, 11)), np.linspace(719.0, 252.0, 25)),
+                   ("[2]", empty, np.zeros((0, 11)), np.linspace(719.0, 252.0, 25))]
+        path = tmp_path / "scores.jsonl"
+        save_image_scores(entries, path)
+
+        def refuse(text, where):
+            raise AssertionError("a line save_image_scores wrote went through parse_json")
+
+        monkeypatch.setattr(serialize, "parse_json", refuse)
+        loaded = load_image_scores(path)
+        assert [entry[0] for entry in loaded] == ["img-0", "img 1", "[2]"]
+        for (_, scores, features, heights), (_, *expected) in zip(loaded, entries):
+            arrays = (scores.probabilities, scores.height_distributions, scores.offsets,
+                      features, heights)
+            wanted = (expected[0].probabilities, expected[0].height_distributions,
+                      expected[0].offsets, *expected[1:])
+            assert all(same_bits(a, b) for a, b in zip(arrays, wanted))
+
+    def test_every_mutated_value_reads_as_the_general_path_reads(self, line, tmp_path):
+        obj = json.loads(line)
+        for path in value_paths(obj):
+            for value in MUTATIONS:
+                text = spliced_dumps(mutated(copy.deepcopy(obj), path, value))
+                assert_read_as_the_general_path_reads(text + "\n", tmp_path / "scores.jsonl")
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_edited_lines_read_as_the_general_path_reads(self, line, tmp_path_factory, data):
+        edit = SCORES_LINE_EDITS[data.draw(st.sampled_from(sorted(SCORES_LINE_EDITS)))]
+        path = tmp_path_factory.getbasetemp() / "edited_scores.jsonl"
+        assert_read_as_the_general_path_reads(edit(line, data.draw) + "\n", path)
+
 
 class TestDetectionsRoundTrip:
     def test_round_trip(self, candidates, tmp_path):
@@ -242,6 +400,17 @@ class TestDetectionsRoundTrip:
         for a, b in zip(lanes2, lanes):
             assert np.array_equal(a.xs, b.xs)
             assert a.top_index == b.top_index
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_breaks_other_than_newline_stay_inside_an_id(self, candidates, char, tmp_path):
+        path = tmp_path / "det.jsonl"
+        save_detections([("img", candidate_lanes(candidates)[:2], 0.5)], path)
+        obj = json.loads(path.read_text())
+        obj["image_id"] = f"a{char}b"
+        path.write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+        [(image_id, lanes, compatibility)] = load_detections(path, candidates.grid)
+        assert image_id == f"a{char}b"
+        assert len(lanes) == 2 and compatibility == 0.5
 
     def test_lane_length_checked(self, candidates, tmp_path):
         grid = candidates.grid
