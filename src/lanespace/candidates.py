@@ -96,19 +96,15 @@ class CandidateSet:
 
         The row depends only on the set, so it is computed once per
         (width, threshold, i) and kept bit-packed while the memo has room.
-        Only the lanes whose SpanStack.overlap_bound with candidate i leaves
-        room for an IoU above threshold go through the kernel.
+        Only the lanes whose SpanStack.iou_caps with candidate i exceed
+        threshold go through the kernel.
         """
         spans = self.spans(width)
         key = (width, float(threshold), int(i))
         packed = self._row_cache.get(key)
         if packed is None:
-            # IoU > t means inter * (1 + t) > t * (area_i + area_j); the 1e-9
-            # margin dwarfs float64 rounding, so every lane left out has IoU <= t
             lane = spans[i : i + 1]
-            bound = spans.overlap_bound(lane, width)
-            room = threshold * (spans.area + spans.area[i]) * (1.0 - 1e-9)
-            near = np.flatnonzero(bound * (1.0 + threshold) >= room)
+            near = np.flatnonzero(spans.iou_caps(lane) > threshold)
             row = np.zeros(self.k, dtype=bool)
             row[near] = spans[near].ious(lane)[0] > threshold
             packed = np.packbits(row)
@@ -258,12 +254,10 @@ def mean_best_iou(
     a candidate set is good when every plausible lane is close to some
     candidate.
 
-    Each test lane visits the candidates in descending order of the IoU cap
-    bound / (area_i + area_j - bound) that SpanStack.overlap_bound allows,
-    eight at a time through the exact kernel, and stops once the next cap is
-    no larger than the best IoU found. IoU grows with the intersection and
-    correctly rounded division is monotone, so no cap is below its lane's
-    computed IoU, and the maximum is that of the full kernel bit for bit.
+    Each test lane visits the candidates in descending order of their
+    SpanStack.iou_caps, eight at a time through the exact kernel, and stops
+    once the next cap is no larger than the best IoU found, so the maximum is
+    that of the full kernel bit for bit.
     """
     test_lanes = list(test_lanes)
     if not test_lanes:
@@ -274,9 +268,7 @@ def mean_best_iou(
     best = np.zeros(len(tests))
     for i in range(len(tests)):
         query = tests[i : i + 1]
-        bound = spans.overlap_bound(query, width)
-        cap = np.zeros(len(spans))
-        np.divide(bound, spans.area + query.area - bound, out=cap, where=bound > 0)
+        cap = spans.iou_caps(query)
         order = np.argsort(-cap, kind="stable")
         for start in range(0, len(order), 8):
             if cap[order[start]] <= best[i]:

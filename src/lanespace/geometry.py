@@ -256,13 +256,15 @@ class SpanStack:
     lo and hi are (K, blocks): per block, the minimum start and the maximum
     end over the rows the lane covers, or int32 max and 0 when it covers
     none. Two lanes that share a pixel on some row have envelopes that meet
-    in that row's block: max(lo) < min(hi). stack[rows] selects lanes.
+    in that row's block: max(lo) < min(hi). width is the stripe width the
+    lanes were spanned at. stack[rows] selects lanes.
     """
 
     spans: np.ndarray
     area: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    width: int
 
     @classmethod
     def of(cls, xs, top_index, grid: SamplingGrid, width: int) -> "SpanStack":
@@ -274,8 +276,8 @@ class SpanStack:
         other row, and a fully clipped one, has start == end == 0. The x on a
         row uses np.interp's arithmetic on the two samples around it, so every
         lane's row is bit-identical to interpolating that lane on its own.
-        width must be an integer >= 1, and the span planes must fit
-        MAX_ARRAY_BYTES, checked before the grid's row plan is worked out.
+        width must be an integer in [1, MAX_IMAGE_SIDE], and the span planes
+        must fit MAX_ARRAY_BYTES, checked before the grid's row plan is made.
         Lanes are spanned in chunks of about SPAN_CHUNK_CELLS lane rows, each
         written straight into the planes with its areas and envelopes, so the
         build peak is the stack plus one chunk's intermediates.
@@ -326,27 +328,34 @@ class SpanStack:
         spans = spans.reshape(2, k, blocks, block)
         for array in (spans, area, lo, hi):  # read-only: CandidateSet caches stacks for its lifetime
             array.setflags(write=False)
-        return cls(spans, area, lo, hi)
+        return cls(spans, area, lo, hi, width)
 
     def __len__(self) -> int:
         return self.spans.shape[1]
 
     def __getitem__(self, rows) -> "SpanStack":
-        return SpanStack(self.spans[:, rows], self.area[rows], self.lo[rows], self.hi[rows])
+        return SpanStack(self.spans[:, rows], self.area[rows], self.lo[rows], self.hi[rows],
+                         self.width)
 
-    def overlap_bound(self, query: "SpanStack", width: int) -> np.ndarray:
-        """(K,) int64 upper bound on the pixels each lane shares with the one lane of query.
+    def iou_caps(self, query: "SpanStack") -> np.ndarray:
+        """(K,) float64 upper bound on each lane's stripe IoU with the one lane of query.
 
-        On each of a block's ENVELOPE_BLOCK_ROWS rows, two windows of width
-        pixels share at most width pixels and at most the overlap of their
-        envelopes, and no lane shares more than its own area. query is a
-        one-lane stack spanned at the same width, from this stack or another.
+        Each lane's shared pixels are bounded by b: on each of a block's
+        ENVELOPE_BLOCK_ROWS rows, at most this stack's width and at most the
+        overlap of the two envelopes, and no more than either area; query is
+        a one-lane stack spanned at any width, since two windows never share
+        more than the narrower one. The cap is b / (area_i + area_j - b), and
+        0.0 where b == 0. IoU grows with the intersection and correctly
+        rounded division is monotone, so no cap is below the IoU ious
+        computes for its lane, bit for bit.
         """
         overlap = np.minimum(self.hi, query.hi) - np.maximum(self.lo, query.lo)
-        # every overlap is at most the image width, which fits int32 as MAX_IMAGE_SIDE
-        np.clip(overlap, 0, min(width, MAX_IMAGE_SIDE), out=overlap)
+        np.clip(overlap, 0, self.width, out=overlap)
         bound = ENVELOPE_BLOCK_ROWS * overlap.sum(axis=1)
-        return np.minimum(np.minimum(bound, self.area, out=bound), query.area, out=bound)
+        np.minimum(np.minimum(bound, self.area, out=bound), query.area, out=bound)
+        union = self.area + query.area - bound
+        # the union is 0 only where both areas, and so b, are 0: that cap is 0 / 1
+        return bound / np.maximum(union, 1, out=union)
 
     def ious(self, queries: "SpanStack") -> np.ndarray:
         """Stripe IoU of every (query, lane) pair, shape (len(queries), len(self)).

@@ -98,7 +98,10 @@ def _decode_array(obj, expected_ndim: int | None = None) -> np.ndarray:
             raise SchemaError(f"array claims shape {dims} but carries {data.size} values")
     if expected_ndim is not None and len(dims) != expected_ndim:
         raise SchemaError(f"array must have {expected_ndim} dims, found {len(dims)}")
-    return data.reshape(dims)
+    try:
+        return data.reshape(dims)
+    except ValueError as exc:  # an empty array whose other dims overflow numpy's sizes
+        raise SchemaError(f"array dims {dims} are beyond what numpy can index") from exc
 
 
 def _grid_to_obj(grid: SamplingGrid) -> dict:
@@ -174,10 +177,6 @@ def _parse(text: str, path, kind: str, versions=(SCHEMA_VERSION,)) -> dict:
     return obj
 
 
-def _read_json(path, kind: str) -> dict:
-    return _parse(read_text(path), path, kind)
-
-
 def _lines(path) -> list[str]:
     """The non-blank lines of a JSON-lines file.
 
@@ -185,11 +184,6 @@ def _lines(path) -> list[str]:
     also breaks at, may stand raw inside a JSON string.
     """
     return [line for line in read_text(path).split("\n") if line.strip()]
-
-
-def _read_lines(path, kind: str) -> list[dict]:
-    """Parse and header-check every non-blank line of a JSON-lines file."""
-    return [_parse(line, path, kind) for line in _lines(path)]
 
 
 def save_basis(basis: EigenBasis, path):
@@ -206,7 +200,7 @@ def save_basis(basis: EigenBasis, path):
 
 
 def load_basis(path) -> EigenBasis:
-    obj = _read_json(path, "eigen_basis")
+    obj = _parse(read_text(path), path, "eigen_basis")
     grid = _grid_from_obj(_require(obj, "grid"))
     u = _decode_array(_require(obj, "u"), expected_ndim=2)
     sv = _decode_array(_require(obj, "singular_values"), expected_ndim=1)
@@ -243,6 +237,11 @@ def load_candidates(path) -> CandidateSet:
     return CandidateSet(xs, top_index, grid, coeffs, str(_require(obj, "basis_id")))
 
 
+# The (key, ndim) of each array of a scores line, in the order it is written.
+_SCORES_ARRAYS = (("probabilities", 1), ("height_distributions", 2), ("offsets", 2),
+                  ("features", 2), ("height_grid", 1))
+
+
 def save_image_scores(entries, path):
     """Write per-image score records as JSON lines.
 
@@ -251,13 +250,10 @@ def save_image_scores(entries, path):
     _write_lines(
         "image_scores",
         (
-            {
-                "image_id": image_id,
-                "probabilities": _encode_array(scores.probabilities),
-                "height_distributions": _encode_array(scores.height_distributions),
-                "offsets": _encode_array(scores.offsets),
-                "features": _encode_array(features),
-                "height_grid": _encode_array(height_grid),
+            {"image_id": image_id} | {
+                key: _encode_array(array) for (key, _), array in zip(_SCORES_ARRAYS, (
+                    scores.probabilities, scores.height_distributions, scores.offsets,
+                    features, height_grid))
             }
             for image_id, scores, features, height_grid in entries
         ),
@@ -269,8 +265,6 @@ def save_image_scores(entries, path):
 # id of printable ASCII with no escape, and each array's dims (JSON integers
 # of at most 18 digits, so each fits an intp; re.ASCII keeps \d from matching
 # other scripts' digits, which int() reads and JSON refuses) and data list.
-_SCORES_ARRAYS = (("probabilities", 1), ("height_distributions", 2), ("offsets", 2),
-                  ("features", 2), ("height_grid", 1))
 _SCORES_LINE = re.compile(
     r'\{"schema_version": 1, "kind": "image_scores", "image_id": "([ !#-\[\]-~]*)"'
     + "".join(f', "{key}": ' + r'\{"dims": \[' + ", ".join([r"(0|[1-9]\d{0,17})"] * ndim)
@@ -344,11 +338,6 @@ def _match_scores(line: str) -> dict | None:
     return fields
 
 
-def _scores_array(obj: dict, key: str, ndim: int) -> np.ndarray:
-    value = _require(obj, key)  # an array _match_scores decoded, or a parsed line's JSON field
-    return value if isinstance(value, np.ndarray) else _decode_array(value, expected_ndim=ndim)
-
-
 def load_image_scores(path):
     """Read per-image score records; yields (image_id, scores, features, height_grid).
 
@@ -357,16 +346,15 @@ def load_image_scores(path):
     """
     out = []
     for line in _lines(path):
-        obj = _match_scores(line) or _parse(line, path, "image_scores")
-        scores = CandidateScores(
-            _scores_array(obj, "probabilities", 1),
-            _scores_array(obj, "height_distributions", 2),
-            _scores_array(obj, "offsets", 2),
-        )
-        features = _scores_array(obj, "features", 2)
+        obj = _match_scores(line)
+        if obj is None:
+            obj = _parse(line, path, "image_scores")
+            obj |= {key: _decode_array(_require(obj, key), ndim) for key, ndim in _SCORES_ARRAYS}
+        probabilities, distributions, offsets, features, heights = (
+            obj[key] for key, _ in _SCORES_ARRAYS)
+        scores = CandidateScores(probabilities, distributions, offsets)
         if features.shape[0] != scores.k:
             raise SchemaError("feature rows do not match candidate count")
-        heights = _scores_array(obj, "height_grid", 1)
         out.append((str(_require(obj, "image_id")), scores, features, heights))
     return out
 
@@ -395,7 +383,7 @@ def save_detections(entries, path):
 def load_detections(path, grid: SamplingGrid):
     """Read detections; returns list of (image_id, lanes, compatibility)."""
     out = []
-    for obj in _read_lines(path, "detections"):
+    for obj in [_parse(line, path, "detections") for line in _lines(path)]:
         lanes = []
         for lane_obj in _list(_require(obj, "lanes"), "detection lanes"):
             xs = json_floats(_require(lane_obj, "xs"), "detection xs")

@@ -36,7 +36,7 @@ from lanespace import (
     uniform_height_grid,
 )
 from lanespace.candidates import MAX_ITERS, TOLERANCE, _assign, _kmeans_plus_plus
-from lanespace.geometry import ENVELOPE_BLOCK_ROWS, SpanStack, stack_lanes
+from lanespace.geometry import SpanStack, stack_lanes
 
 
 def full_kernel(span, many):
@@ -458,18 +458,34 @@ class TestSpanStackIous:
         cands = CandidateSet(xs, top, grid, np.zeros((64, 2)), "seeded")
         for width in (1, 10, 30):
             spans = cands.spans(width)
-            starts, ends = row_spans(xs, top, grid, width)
             for i in range(64):
-                shared = np.minimum(ends, ends[i]) - np.maximum(starts, starts[i])
-                shared = np.clip(shared, 0, None).sum(axis=1)
-                meets = np.maximum(spans.lo, spans.lo[i]) < np.minimum(spans.hi, spans.hi[i])
-                bound = spans.overlap_bound(spans[i : i + 1], width)
-                assert np.all(shared <= bound)
-                # at most width shared pixels on each row of a block where the envelopes meet
-                assert np.all(bound <= ENVELOPE_BLOCK_ROWS * width * meets.sum(axis=1))
                 row = spans.ious(spans[i : i + 1])[0]
-                for threshold in (1e-9, 0.3, 0.5, 1.0):
+                # a threshold equal to a lane's own IoU leaves that lane unsuppressed
+                for threshold in {1e-9, 0.3, 0.5, 1.0, *row[row > 0].tolist()}:
                     assert np.array_equal(cands.suppressed(i, width, threshold), row > threshold)
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_caps_bound_the_kernel(self, ladder):
+        grid = LADDERS[ladder]
+        rng = np.random.default_rng(12)
+        xs, top = random_stack(rng, grid, 64)
+        query_xs, query_top = random_stack(rng, grid, 8)
+        query_xs, query_top = np.concatenate([xs[:8], query_xs]), np.concatenate([top[:8], query_top])
+        tied = 0
+        for width in (1, 10, 30):
+            spans = SpanStack.of(xs, top, grid, width)
+            assert spans.width == width and spans[3:9].width == width
+            for query_width in (1, 10, 30):  # a query spanned at another width too
+                queries = SpanStack.of(query_xs, query_top, grid, query_width)
+                for q in range(len(queries)):
+                    row, caps = spans.ious(queries[q : q + 1])[0], spans.iou_caps(queries[q : q + 1])
+                    assert caps.dtype == np.float64
+                    assert np.all(row <= caps)
+                    assert np.all(caps <= 1.0)
+                    meets = np.minimum(spans.hi, queries.hi[q]) > np.maximum(spans.lo, queries.lo[q])
+                    assert np.array_equal(caps > 0, meets.any(axis=1))
+                    tied += np.count_nonzero((row == caps) & (row > 0))
+        assert tied  # the cap is exact on some lanes, so a looser or tighter cap shows
 
     def test_memo_over_the_budget_keeps_nms_picks(self, candidates, monkeypatch):
         k = candidates.k

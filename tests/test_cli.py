@@ -510,6 +510,22 @@ BAD_INPUTS = {
                          "-o", str(tmp / "s.jsonl")], 2),
     "detections-compatibility-huge": (
         lambda ws, tmp: _eval(ws, tmp, lambda obj: obj.update(compatibility=10**400)), 2),
+    # empty arrays whose dims numpy cannot reshape to; the ndim check refuses the 3-D ones
+    # first, and no scores line the fast path admits has such dims
+    "scores-empty-offsets-dims-1e19": (
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp, lambda obj: obj.update(offsets={"dims": [0, 10**19], "data": []}))),
+        2),
+    "scores-empty-offsets-dims-1e18-1e18": (
+        lambda ws, tmp: _detect(ws, tmp, _edited(
+            ws["scores"], tmp,
+            lambda obj: obj.update(offsets={"dims": [0, 10**18, 10**18], "data": []}))), 2),
+    "candidates-empty-lanes-dims-2-62-2-62": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj.update(lanes={"dims": [0, 2**62, 2**62], "float64": ""})), 2),
+    "candidates-empty-lanes-dims-2-62": (
+        lambda ws, tmp: _eval_candidates(
+            ws, tmp, lambda obj: obj.update(lanes={"dims": [0, 2**62], "float64": ""})), 2),
 }
 
 

@@ -84,17 +84,44 @@ def exported_names(source: str) -> list[str]:
     return []
 
 
+def defined_functions(source: str) -> set[str]:
+    """Functions and methods a module defines, but not dunders or click commands and groups."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        click = any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) in ("command", "group")
+                    for d in node.decorator_list)
+        if not click and not (node.name.startswith("__") and node.name.endswith("__")):
+            names.add(node.name)
+    return names
+
+
 def test_name_helpers():
     source = '__all__ = ["f", "g"]\nfrom m import h\ndef f(x):\n    y = x.attr\n    return g(y)\n'
     assert exported_names(source) == ["f", "g"]
     assert read_names(source) == {"attr", "g", "x", "y"}
     assert imported_names(source) == {"h"}
+    source = ("class C:\n    def __len__(self):\n        return 0\n    def m(self):\n        pass\n"
+              "@main.command()\ndef run():\n    pass\n@click.group()\ndef top():\n    pass\n")
+    assert defined_functions(source) == {"m"}
+
+
+def readers() -> set[str]:
+    """Names read anywhere in the package or the scripts, or imported by the acceptance tests."""
+    read = set().union(*(read_names(path.read_text()) for path in MODULES + SCRIPTS))
+    return read | imported_names(ACCEPTANCE_TESTS.read_text())
 
 
 def test_every_export_has_a_reader():
     # an export that only its own tests call is dead code
-    read = set().union(*(read_names(path.read_text()) for path in MODULES + SCRIPTS))
-    read |= imported_names(ACCEPTANCE_TESTS.read_text())
     exported = exported_names((PACKAGE / "__init__.py").read_text())
     assert exported
-    assert sorted(set(exported) - read) == []
+    assert sorted(set(exported) - readers()) == []
+
+
+def test_every_function_has_a_reader():
+    # a helper left behind when its callers were folded away is dead code
+    defined = set().union(*(defined_functions(path.read_text()) for path in MODULES))
+    assert defined
+    assert sorted(defined - readers()) == []
