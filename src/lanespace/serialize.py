@@ -237,11 +237,6 @@ def load_candidates(path) -> CandidateSet:
     return CandidateSet(xs, top_index, grid, coeffs, str(_require(obj, "basis_id")))
 
 
-# The (key, ndim) of each array of a scores line, in the order it is written.
-_SCORES_ARRAYS = (("probabilities", 1), ("height_distributions", 2), ("offsets", 2),
-                  ("features", 2), ("height_grid", 1))
-
-
 def save_image_scores(entries, path):
     """Write per-image score records as JSON lines.
 
@@ -250,10 +245,13 @@ def save_image_scores(entries, path):
     _write_lines(
         "image_scores",
         (
-            {"image_id": image_id} | {
-                key: _encode_array(array) for (key, _), array in zip(_SCORES_ARRAYS, (
-                    scores.probabilities, scores.height_distributions, scores.offsets,
-                    features, height_grid))
+            {
+                "image_id": image_id,
+                "probabilities": _encode_array(scores.probabilities),
+                "height_distributions": _encode_array(scores.height_distributions),
+                "offsets": _encode_array(scores.offsets),
+                "features": _encode_array(features),
+                "height_grid": _encode_array(height_grid),
             }
             for image_id, scores, features, height_grid in entries
         ),
@@ -265,6 +263,9 @@ def save_image_scores(entries, path):
 # id of printable ASCII with no escape, and each array's dims (JSON integers
 # of at most 18 digits, so each fits an intp; re.ASCII keeps \d from matching
 # other scripts' digits, which int() reads and JSON refuses) and data list.
+# _SCORES_ARRAYS holds the (key, ndim) of each array, in the order it is written.
+_SCORES_ARRAYS = (("probabilities", 1), ("height_distributions", 2), ("offsets", 2),
+                  ("features", 2), ("height_grid", 1))
 _SCORES_LINE = re.compile(
     r'\{"schema_version": 1, "kind": "image_scores", "image_id": "([ !#-\[\]-~]*)"'
     + "".join(f', "{key}": ' + r'\{"dims": \[' + ", ".join([r"(0|[1-9]\d{0,17})"] * ndim)
@@ -350,12 +351,10 @@ def load_image_scores(path):
         if obj is None:
             obj = _parse(line, path, "image_scores")
             obj |= {key: _decode_array(_require(obj, key), ndim) for key, ndim in _SCORES_ARRAYS}
-        probabilities, distributions, offsets, features, heights = (
-            obj[key] for key, _ in _SCORES_ARRAYS)
-        scores = CandidateScores(probabilities, distributions, offsets)
-        if features.shape[0] != scores.k:
+        scores = CandidateScores(obj["probabilities"], obj["height_distributions"], obj["offsets"])
+        if obj["features"].shape[0] != scores.k:
             raise SchemaError("feature rows do not match candidate count")
-        out.append((str(_require(obj, "image_id")), scores, features, heights))
+        out.append((str(_require(obj, "image_id")), scores, obj["features"], obj["height_grid"]))
     return out
 
 
