@@ -420,44 +420,25 @@ def eval_cmd(pred_path, data, basis_path, metric, iou_thresh, stripe_width, out,
     missing = [image_id for image_id, _, _ in detections if image_id not in by_id]
     if missing:
         raise SchemaError(f"detections reference unknown images: {missing[:3]}")
+    gts = [by_id[image_id].resampled(grid) for image_id, _, _ in detections]
     if metric == "culane":
-        reports = []
-        for image_id, lanes, _ in detections:
-            gt = by_id[image_id].resampled(grid)
-            reports.append(match_lanes(lanes, gt, iou_thresh, stripe_width, image_id))
-        report = f_measure(reports)
-        _echo_kv(
-            [
-                ("images", len(reports)),
-                ("tp", report.tp),
-                ("fp", report.fp),
-                ("fn", report.fn),
-                ("precision", f"{report.precision:.6f}"),
-                ("recall", f"{report.recall:.6f}"),
-                ("f_measure", f"{report.f_measure:.6f}"),
-            ]
-        )
-        if out is not None:
-            save_json("match_report", dataclasses.asdict(report), _out_path(out))
+        report = f_measure(match_lanes(lanes, gt, iou_thresh, stripe_width, image_id)
+                           for (image_id, lanes, _), gt in zip(detections, gts))
+        kind, counts = "match_report", ("tp", "fp", "fn")
+        rates = ("precision", "recall", "f_measure")
     else:
-        preds = []
-        gts = []
-        ids = []
-        for image_id, lanes, _ in detections:
-            preds.append(lanes)
-            gts.append(by_id[image_id].resampled(grid))
-            ids.append(image_id)
-        report = tusimple_score(preds, gts, image_ids=ids)
-        _echo_kv(
-            [
-                ("images", len(ids)),
-                ("accuracy", f"{report.accuracy:.6f}"),
-                ("fpr", f"{report.fpr:.6f}"),
-                ("fnr", f"{report.fnr:.6f}"),
-            ]
-        )
-        if out is not None:
-            save_json("point_accuracy_report", dataclasses.asdict(report), _out_path(out))
+        report = tusimple_score([lanes for _, lanes, _ in detections], gts,
+                                image_ids=[image_id for image_id, _, _ in detections])
+        kind, counts, rates = "point_accuracy_report", (), ("accuracy", "fpr", "fnr")
+    _echo_kv(
+        [
+            ("images", len(detections)),
+            *((key, getattr(report, key)) for key in counts),
+            *((key, f"{getattr(report, key):.6f}") for key in rates),
+        ]
+    )
+    if out is not None:
+        save_json(kind, dataclasses.asdict(report), _out_path(out))
 
 
 @main.command()

@@ -34,6 +34,9 @@ logger = logging.getLogger(__name__)
 TUSIMPLE_IMAGE_SIZE = (1280, 720)
 CULANE_IMAGE_SIZE = (1640, 590)
 MISSING_X = -2
+# TuSimple annotates at most 5 lanes an image, CULane 4, and detect writes at
+# most 25; eval's stripe-IoU table and greedy matching grow with the square of the count
+MAX_LANES_PER_IMAGE = 100
 
 
 @dataclass(eq=False)
@@ -48,6 +51,9 @@ class DatasetRecord:
     def __post_init__(self):
         w, h = self.image_size
         check_image_size(w, h)
+        if len(self.lanes) > MAX_LANES_PER_IMAGE:
+            raise ValidationError(f"{self.image_id}: {len(self.lanes)} lanes exceed the limit "
+                                  f"of {MAX_LANES_PER_IMAGE} per image")
         cleaned = []
         for poly in self.lanes:
             pts = np.asarray(poly, dtype=np.float64)

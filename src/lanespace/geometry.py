@@ -377,8 +377,8 @@ class SpanStack:
             meet = np.flatnonzero((self.lo < queries.hi[q]) & (queries.lo[q] < self.hi))
             block = meet % blocks
             inter = np.minimum(ends.take(meet, axis=0), queries.spans[1, q].take(block, axis=0))
-            inter -= np.maximum(starts.take(meet, axis=0), queries.spans[0, q].take(block, axis=0))
-            np.maximum(inter, 0, out=inter)
+            start = np.maximum(starts.take(meet, axis=0), queries.spans[0, q].take(block, axis=0))
+            inter -= np.minimum(start, inter, out=start)  # end - start, or 0 where it is negative
             # pixel counts stay below 2**53, so the float64 sums are exact
             inter = np.bincount(meet // blocks, weights=np.einsum("ij->i", inter, dtype=np.int64),
                                 minlength=k)

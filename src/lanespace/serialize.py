@@ -18,6 +18,7 @@ import re
 import numpy as np
 
 from .candidates import CandidateSet
+from .datasets import MAX_LANES_PER_IMAGE
 from .errors import SchemaError, VersionError, json_floats, open_for_writing, parse_json, read_text
 from .eigenspace import EigenBasis
 from .geometry import Lane, SamplingGrid
@@ -124,12 +125,12 @@ def _grid_from_obj(obj: dict) -> SamplingGrid:
     )
 
 
-def _json(value, rows: dict) -> str:
+def _json(value) -> str:
     """json.dumps(value)'s text, where a float64 array stands for its row-major flat list.
 
-    A 0-d or 1-D array is one json.dumps of its list; a larger one is written
-    row by row, and rows maps a row's bytes to its text, so a row that
-    repeats is encoded once. Dict keys must be strings.
+    A 0-d or 1-D array is one json.dumps of its list; a larger one maps each
+    row's bytes to one index, so a row that repeats is encoded once, by one
+    json.dumps of its distinct rows. Dict keys must be strings.
     """
     if isinstance(value, np.ndarray):
         if value.ndim <= 1:
@@ -138,32 +139,25 @@ def _json(value, rows: dict) -> str:
             return "[]"
         flat = np.ascontiguousarray(value.reshape(-1, value.shape[-1]))
         keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
-        new = {key: i for i, key in enumerate(keys) if key not in rows}
-        if len(new) == len(keys):  # no row repeats or was seen: nothing to share
-            return json.dumps(flat.ravel().tolist())
-        if new:  # one dumps for every new row: "[[a, b], [c, d]]" splits at "], ["
-            texts = json.dumps(flat[list(new.values())].tolist())[2:-2].split("], [")
-            rows.update(zip(new, texts))
-        return "[" + ", ".join(map(rows.__getitem__, keys)) + "]"
+        index = {key: i for i, key in enumerate(keys)}  # each distinct row's bytes to one row
+        # one dumps of the distinct rows: "[[a, b], [c, d]]" splits at "], ["
+        texts = json.dumps(flat[list(index.values())].tolist())[2:-2].split("], [")
+        return "[" + ", ".join(map(dict(zip(index, texts)).__getitem__, keys)) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(key)}: {_json(item, rows)}"
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json(item)}"
                                for key, item in value.items()) + "}"
     if isinstance(value, (list, tuple)) and any(
         isinstance(item, (dict, list, tuple, np.ndarray)) for item in value
     ):
-        return "[" + ", ".join(_json(item, rows) for item in value) + "]"
+        return "[" + ", ".join(map(_json, value)) + "]"
     return json.dumps(value)
 
 
 def _write_lines(kind: str, records, path, version: int = SCHEMA_VERSION):
-    """Write each record as one line of JSON: the versioned header of kind, then its fields.
-
-    Repeated rows are shared within a line only, so memory stays one line's text.
-    """
+    """Write each record as one line of JSON: the versioned header of kind, then its fields."""
     with open_for_writing(path) as fh:
         for fields in records:
-            line = {"schema_version": version, "kind": kind, **fields}
-            fh.write(_json(line, {}) + "\n")
+            fh.write(_json({"schema_version": version, "kind": kind, **fields}) + "\n")
 
 
 def save_json(kind: str, fields: dict, path):
@@ -383,8 +377,12 @@ def load_detections(path, grid: SamplingGrid):
     """Read detections; returns list of (image_id, lanes, compatibility)."""
     out = []
     for obj in [_parse(line, path, "detections") for line in _lines(path)]:
+        lane_objs = _list(_require(obj, "lanes"), "detection lanes")
+        if len(lane_objs) > MAX_LANES_PER_IMAGE:
+            raise SchemaError(f"a detections line holds {len(lane_objs)} lanes, over the limit "
+                              f"of {MAX_LANES_PER_IMAGE} per image")
         lanes = []
-        for lane_obj in _list(_require(obj, "lanes"), "detection lanes"):
+        for lane_obj in lane_objs:
             xs = json_floats(_require(lane_obj, "xs"), "detection xs")
             if xs.size != grid.n_samples:
                 raise SchemaError("detection lane length does not match grid")

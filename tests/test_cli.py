@@ -1,5 +1,6 @@
 import base64
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import DEEP_LIST, LONG_INT, MUTATIONS, mutated, spliced_dumps, value_paths
 from lanespace.cli import main
-from lanespace.datasets import write_tusimple_jsonl
+from lanespace.datasets import MAX_LANES_PER_IMAGE, load_dataset, write_tusimple_jsonl
 from lanespace.errors import ValidationError
-from lanespace.geometry import MAX_IMAGE_SIDE
+from lanespace.geometry import MAX_IMAGE_SIDE, resample_polyline
+from lanespace.metrics import f_measure, match_lanes, tusimple_score
+from lanespace.pipeline import DetectionConfig
 from lanespace.serialize import (
     SCHEMA_VERSION,
     load_basis,
@@ -103,6 +106,32 @@ class TestChain:
         )
         assert "accuracy:" in result.output
         assert "fnr:" in result.output
+
+    @pytest.mark.parametrize("metric", ["culane", "tusimple"])
+    def test_eval_prints_exactly_its_metric_lines_in_order(self, runner, workspace, metric):
+        result = run_ok(
+            runner,
+            ["eval", "-p", str(workspace["det"]), "-d", str(workspace["test"]),
+             "-b", str(workspace["basis"]), "--metric", metric],
+        )
+        grid = load_basis(workspace["basis"]).grid
+        gt = {record.image_id: record.resampled(grid)
+              for record in load_dataset(workspace["test"])}
+        detections = load_detections(workspace["det"], grid)
+        if metric == "culane":
+            cfg = DetectionConfig()
+            report = f_measure(
+                match_lanes(lanes, gt[image_id], cfg.iou_threshold, cfg.stripe_width, image_id)
+                for image_id, lanes, _ in detections)
+            counts, rates = ["tp", "fp", "fn"], ["precision", "recall", "f_measure"]
+        else:
+            report = tusimple_score([lanes for _, lanes, _ in detections],
+                                    [gt[image_id] for image_id, _, _ in detections])
+            counts, rates = [], ["accuracy", "fpr", "fnr"]
+        expected = [f"images: {len(detections)}",
+                    *(f"{key}: {getattr(report, key)}" for key in counts),
+                    *(f"{key}: {getattr(report, key):.6f}" for key in rates)]
+        assert result.output.splitlines() == expected
 
     def test_single_object_artifacts_open_with_version_and_kind(self, runner, workspace):
         root, test, basis = workspace["root"], str(workspace["test"]), str(workspace["basis"])
@@ -303,6 +332,29 @@ def _build_basis_on_line(tmp_path, **fields):
     path = tmp_path / "edited.jsonl"
     path.write_text(spliced_dumps(obj) + "\n")
     return ["build-basis", "-d", str(path), "-o", str(tmp_path / "b.json")]
+
+
+def _eval_identical_lanes(ws, tmp_path, n):
+    """eval of one TuSimple image of n identical lanes against detections of the same lanes."""
+    data = tmp_path / "many_lanes.jsonl"
+    data.write_text(json.dumps({"raw_file": "a", "h_samples": [700, 600],
+                                "lanes": [[640, 650]] * n}) + "\n")
+    lane = resample_polyline(np.array([[640.0, 700.0], [650.0, 600.0]]),
+                             load_basis(ws["basis"]).grid)
+    det = tmp_path / "many_lanes_det.jsonl"
+    det.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION, "kind": "detections", "image_id": "a",
+        "lanes": [{"xs": lane.xs.tolist(), "top_index": lane.top_index}] * n,
+        "compatibility": 0.0}) + "\n")
+    return ["eval", "-p", str(det), "-d", str(data), "-b", str(ws["basis"])]
+
+
+def _culane_lanes(tmp_path, n):
+    """A CULane directory of one image with n distinct lanes."""
+    root = tmp_path / "culane_lanes"
+    root.mkdir()
+    (root / "a.lines.txt").write_text("".join(f"{i} 700 {i} 600\n" for i in range(n)))
+    return str(root)
 
 
 # name -> (args built from the workspace and tmp_path, expected exit code)
@@ -526,6 +578,15 @@ BAD_INPUTS = {
     "candidates-empty-lanes-dims-2-62": (
         lambda ws, tmp: _eval_candidates(
             ws, tmp, lambda obj: obj.update(lanes={"dims": [0, 2**62], "float64": ""})), 2),
+    # over MAX_LANES_PER_IMAGE: refused at load, before eval's quadratic matching
+    "eval-tusimple-1200-lanes": (lambda ws, tmp: _eval_identical_lanes(ws, tmp, 1200), 2),
+    "culane-over-lane-limit": (
+        lambda ws, tmp: ["iou", "-d", _culane_lanes(tmp, MAX_LANES_PER_IMAGE + 1),
+                         "--format", "culane", "-b", str(ws["basis"])], 2),
+    "detections-over-lane-limit": (
+        lambda ws, tmp: _eval(
+            ws, tmp, lambda obj: obj.update(lanes=obj["lanes"][:1] * (MAX_LANES_PER_IMAGE + 1))),
+        2),
 }
 
 
@@ -543,7 +604,11 @@ class TestInputErrorsExitCleanly:
         (tmp_path / "strings.jsonl").write_text(
             json.dumps({"raw_file": "a", "h_samples": [700, 600], "lanes": [["x", 5]]}) + "\n"
         )
-        result = runner.invoke(main, build(workspace, tmp_path))
+        args = build(workspace, tmp_path)
+        start = time.process_time()
+        result = runner.invoke(main, args)
+        # a refusal that first runs a quadratic stage shows here
+        assert time.process_time() - start < 10.0, name
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines()

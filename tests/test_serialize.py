@@ -429,17 +429,14 @@ class TestWriter:
         arr = WRITER_ARRAYS[name]
         field = _encode_array(arr)
         expected = json.dumps({"dims": list(arr.shape), "data": listed(field["data"])})
-        assert _json(field, {}) == expected
+        assert _json(field) == expected
 
     def test_rows_repeated_across_arrays_share_one_text(self):
         one_hot = WRITER_ARRAYS["one-hot-rows"]
         signed = WRITER_ARRAYS["signed-zero-rows"]
         fields = {"a": _encode_array(one_hot), "b": [_encode_array(one_hot[::-1]), signed],
                   "c": {"d": _encode_array(signed[:, :1]), "e": (1, -0.0, "x")}}
-        rows = {}
-        assert _json(fields, rows) == json.dumps(listed(fields))
-        # one text per distinct row: the one-hot rows, four signed-zero pairs, [0.0] and [-0.0]
-        assert len(rows) == len({row.tobytes() for row in one_hot}) + 4 + 2
+        assert _json(fields) == json.dumps(listed(fields))
 
     def test_every_artifact_kind_is_json_dumps_of_its_list_form(
         self, basis, candidates, train_lanes, tmp_path, monkeypatch
@@ -474,7 +471,7 @@ class TestWriter:
         }
         for kind, write in writers.items():
             write(tmp_path / f"{kind}.rows")
-        monkeypatch.setattr(serialize, "_json", lambda value, rows: json.dumps(listed(value)))
+        monkeypatch.setattr(serialize, "_json", lambda value: json.dumps(listed(value)))
         for kind, write in writers.items():
             write(tmp_path / f"{kind}.dumps")
             written = (tmp_path / f"{kind}.rows").read_bytes()
